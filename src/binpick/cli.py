@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import fileio, segmentation, synth
+from . import fileio, synth
 from .errors import ConfigError, InputError
 from .pipeline import (
     HARDWARE_BASELINE_ROT_ERR_DEG,
@@ -22,6 +22,7 @@ from .pipeline import (
     config_from_dict,
     localize_masks,
     run_pipeline,
+    segment_image,
     verify_against_ground_truth,
 )
 
@@ -59,24 +60,10 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _segment_image(config: PipelineConfig, image, phase: str):
-    roi_img = image
-    if config.roi is not None:
-        roi_img = segmentation.extract_roi(image, config.roi)
-    smooth = segmentation.gaussian_smooth_3x3(roi_img)
-    edges = segmentation.auto_canny(smooth, config.canny_sigma)
-    contours = segmentation.find_contours(edges)
-    min_area = segmentation.scaled_min_area(config.min_contour_area,
-                                            image.width, image.height)
-    refined = segmentation.refine_contours(contours, min_area)
-    phase_name = "child-first" if phase == "child" else "parent-after"
-    return segmentation.generate_masks(refined, phase_name)
-
-
 def _cmd_segment(args) -> int:
     config = _load_config(args.config)
     image = fileio.read_image(args.image)
-    masks = _segment_image(config, image, args.phase)
+    _, masks = segment_image(config, image, args.phase)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, mask in enumerate(masks):

@@ -285,23 +285,11 @@ def hdbscan(points: np.ndarray, min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE
         return ClusterLabels(np.full(n, -1, dtype=np.int64))
 
     tree = condensed_tree(pts, min_cluster_size, min_samples)
-    label_of_cluster = {cid: lab for lab, cid in enumerate(tree.selected)}
-
-    resolved: dict[int, int] = {}
-
-    def resolve(cid: int) -> int:
-        if cid not in resolved:
-            if cid in label_of_cluster:
-                resolved[cid] = label_of_cluster[cid]
-            else:
-                parent = tree.nodes[cid].parent_id
-                resolved[cid] = -1 if parent is None else resolve(parent)
-        return resolved[cid]
-
-    labels = np.array([resolve(int(c)) for c in tree.point_cluster], dtype=np.int64)
-    # Upheld by construction; re-map defensively if selection left gaps.
-    used = np.unique(labels[labels >= 0])
-    if len(used) and not np.array_equal(used, np.arange(len(used))):
-        remap = {old: new for new, old in enumerate(used)}
-        labels = np.array([remap.get(l, -1) for l in labels], dtype=np.int64)
-    return ClusterLabels(labels)
+    cluster_label = np.full(len(tree.nodes), -1, dtype=np.int64)
+    cluster_label[tree.selected] = np.arange(len(tree.selected))
+    # _condense numbers every cluster after its parent, so one ascending pass
+    # hands each unselected cluster its parent's final label.
+    for cid in range(1, len(tree.nodes)):
+        if cluster_label[cid] < 0:
+            cluster_label[cid] = cluster_label[tree.nodes[cid].parent_id]
+    return ClusterLabels(cluster_label[tree.point_cluster])

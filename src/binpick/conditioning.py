@@ -12,6 +12,7 @@ of evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -54,12 +55,6 @@ class NeighborIndex:
             return np.array([], dtype=np.int64)
         idx = self._tree.query_ball_point(np.asarray(query, dtype=float), r=r)
         return np.sort(np.asarray(idx, dtype=np.int64))
-
-    def radius_all(self, r: float) -> list:
-        """Radius neighborhoods of every stored point (list of index lists)."""
-        if self._tree is None:
-            return []
-        return self._tree.query_ball_point(self.points, r=r)
 
 
 @dataclass(frozen=True)
@@ -124,6 +119,26 @@ def _polynomial_design(u: np.ndarray, v: np.ndarray, order: int) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
+def _padded_neighborhoods(tree: cKDTree, points: np.ndarray, radius: float,
+                          min_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Radius neighborhoods holding at least min_count points, padded to a block.
+
+    Returns (rows, index, present): the indices of the points whose
+    neighborhood qualifies, an (m, kmax) array of their neighbor indices in
+    ascending order, and an (m, kmax) mask of the slots that hold a neighbor
+    (padding slots hold index 0).
+    """
+    neighborhoods = tree.query_ball_point(points, r=radius)
+    counts = np.fromiter(map(len, neighborhoods), dtype=np.int64,
+                         count=len(neighborhoods))
+    rows = np.flatnonzero(counts >= min_count)
+    present = np.arange(counts[rows].max(initial=0)) < counts[rows, None]
+    index = np.zeros(present.shape, dtype=np.int64)
+    index[present] = np.fromiter(chain.from_iterable(neighborhoods[rows]),
+                                 dtype=np.int64, count=int(counts[rows].sum()))
+    return rows, index, present
+
+
 def mls_resample(points: np.ndarray, radius: float,
                  order: int = DEFAULT_MLS_ORDER) -> np.ndarray:
     """Project each point onto a local weighted polynomial fit of its neighborhood.
@@ -143,21 +158,10 @@ def mls_resample(points: np.ndarray, radius: float,
         return pts.copy()
     min_neighbors = (order + 1) * (order + 2) // 2
 
-    tree = cKDTree(pts)
-    neighborhoods = tree.query_ball_point(pts, r=radius)
-    counts = np.array([len(nb) for nb in neighborhoods])
-    active = counts >= min_neighbors
-    if not active.any():
+    act_idx, nbr_idx, present = _padded_neighborhoods(cKDTree(pts), pts, radius,
+                                                      min_neighbors)
+    if len(act_idx) == 0:
         return pts.copy()
-
-    act_idx = np.flatnonzero(active)
-    kmax = int(counts[act_idx].max())
-    nbr_idx = np.zeros((len(act_idx), kmax), dtype=np.int64)
-    present = np.zeros((len(act_idx), kmax), dtype=bool)
-    for row, i in enumerate(act_idx):
-        nb = neighborhoods[i]
-        nbr_idx[row, :len(nb)] = nb
-        present[row, :len(nb)] = True
 
     nbr = pts[nbr_idx]                                   # (m, k, 3)
     d2 = ((nbr - pts[act_idx, None, :]) ** 2).sum(-1)
@@ -224,27 +228,17 @@ def estimate_normal(points: np.ndarray, index: NeighborIndex, p,
     return normal
 
 
-def _batched_normals(points: np.ndarray, index: NeighborIndex, radius: float,
+def _batched_normals(points: np.ndarray, tree: cKDTree, radius: float,
                      viewpoint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized radius-PCA normals for every point; returns (normals, defined)."""
     n = len(points)
     normals = np.zeros((n, 3))
-    neighborhoods = index.radius_all(radius)
-    counts = np.array([len(nb) for nb in neighborhoods])
-    candidates = np.flatnonzero(counts >= 3)
+    candidates, nbr_idx, present = _padded_neighborhoods(tree, points, radius, 3)
     defined = np.zeros(n, dtype=bool)
     if len(candidates) == 0:
         return normals, defined
 
-    kmax = int(counts[candidates].max())
-    nbr_idx = np.zeros((len(candidates), kmax), dtype=np.int64)
-    present = np.zeros((len(candidates), kmax), dtype=bool)
-    for row, i in enumerate(candidates):
-        nb = neighborhoods[i]
-        nbr_idx[row, :len(nb)] = nb
-        present[row, :len(nb)] = True
-
-    nbr = index.points[nbr_idx]
+    nbr = points[nbr_idx]
     cnt = present.sum(1).astype(float)
     centroid = (nbr * present[..., None]).sum(1) / cnt[:, None]
     rel = (nbr - centroid[:, None, :]) * present[..., None]
@@ -272,9 +266,9 @@ def compute_normal_field(points: np.ndarray, r_small: float, r_large: float,
         raise ValueError("radii must satisfy 0 < r_small < r_large")
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     view = np.asarray(viewpoint, dtype=float).reshape(3)
-    index = NeighborIndex(pts)
-    n_s, def_s = _batched_normals(pts, index, r_small, view)
-    n_l, def_l = _batched_normals(pts, index, r_large, view)
+    tree = cKDTree(pts)
+    n_s, def_s = _batched_normals(pts, tree, r_small, view)
+    n_l, def_l = _batched_normals(pts, tree, r_large, view)
     defined = def_s & def_l
     don = np.zeros_like(n_s)
     don[defined] = (n_s[defined] - n_l[defined]) / 2.0

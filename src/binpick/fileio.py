@@ -20,12 +20,10 @@ from .synth import GroundTruthEntry
 _LUMA = np.array([0.299, 0.587, 0.114])
 
 
-def _read_netpbm_header(data: bytes, magic: bytes) -> tuple[list[int], int]:
+def _read_netpbm_header(data: bytes) -> tuple[list[int], int]:
     """Parse a binary netpbm header; returns ([width, height, maxval], offset)."""
-    if not data.startswith(magic):
-        raise InputError(f"expected {magic.decode()} file")
     fields: list[int] = []
-    i = len(magic)
+    i = 2  # past the magic number
     while len(fields) < 3:
         if i >= len(data):
             raise InputError("truncated netpbm header")
@@ -47,37 +45,23 @@ def _read_netpbm_header(data: bytes, magic: bytes) -> tuple[list[int], int]:
     return fields, i + 1  # single whitespace after maxval
 
 
-def read_pgm(path) -> GrayImage:
-    data = _read_file(path)
-    (w, h, maxval), offset = _read_netpbm_header(data, b"P5")
-    if maxval > 255:
-        raise InputError("only 8-bit PGM is supported")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=offset)
-    if pixels.size != w * h:
-        raise InputError("PGM pixel data truncated")
-    return GrayImage(pixels.reshape(h, w).copy())
-
-
-def read_ppm_as_gray(path) -> GrayImage:
-    data = _read_file(path)
-    (w, h, maxval), offset = _read_netpbm_header(data, b"P6")
-    if maxval > 255:
-        raise InputError("only 8-bit PPM is supported")
-    raw = np.frombuffer(data, dtype=np.uint8, count=w * h * 3, offset=offset)
-    if raw.size != w * h * 3:
-        raise InputError("PPM pixel data truncated")
-    rgb = raw.reshape(h, w, 3).astype(np.float64)
-    return GrayImage(np.clip(np.rint(rgb @ _LUMA), 0, 255).astype(np.uint8))
-
-
 def read_image(path) -> GrayImage:
     """Read a P5 PGM or P6 PPM (converted to luma)."""
     data = _read_file(path)
-    if data.startswith(b"P5"):
-        return read_pgm(path)
-    if data.startswith(b"P6"):
-        return read_ppm_as_gray(path)
-    raise InputError(f"{path}: not a P5/P6 netpbm file")
+    channels = {b"P5": 1, b"P6": 3}.get(data[:2])
+    if channels is None:
+        raise InputError(f"{path}: not a P5/P6 netpbm file")
+    (w, h, maxval), offset = _read_netpbm_header(data)
+    if maxval > 255:
+        raise InputError(f"{path}: only 8-bit netpbm is supported")
+    body = data[offset:offset + w * h * channels]
+    if len(body) != w * h * channels:
+        raise InputError(f"{path}: pixel data truncated")
+    raw = np.frombuffer(body, dtype=np.uint8)
+    if channels == 1:
+        return GrayImage(raw.reshape(h, w).copy())
+    rgb = raw.reshape(h, w, 3).astype(np.float64)
+    return GrayImage(np.clip(np.rint(rgb @ _LUMA), 0, 255).astype(np.uint8))
 
 
 def write_pgm(path, image: GrayImage) -> None:
@@ -91,7 +75,7 @@ def write_mask_pgm(path, mask: BinaryMask) -> None:
 
 
 def read_mask_pgm(path, role: str, source_index: int = 0) -> BinaryMask:
-    img = read_pgm(path)
+    img = read_image(path)
     return BinaryMask(bits=img.pixels > 127, role=role, source_index=source_index)
 
 

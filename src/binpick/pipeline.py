@@ -185,14 +185,6 @@ class DetectionReport:
         }
 
 
-class _StageTimer:
-    def __init__(self):
-        self.seconds = {k: 0.0 for k in TIMING_KEYS}
-
-    def add(self, key: str, start: float) -> None:
-        self.seconds[key] += time.perf_counter() - start
-
-
 def _shifted_homography(config: PipelineConfig) -> Homography:
     """Calibration composed with the ROI offset: mask pixels are ROI-relative
     and must shift back to full-frame coordinates before mapping to depth."""
@@ -203,8 +195,46 @@ def _shifted_homography(config: PipelineConfig) -> Homography:
     return Homography(config.homography.h @ shift)
 
 
-def _apply_masks(config: PipelineConfig, masks, cloud: OrganizedCloud,
-                 timer: "_StageTimer", counts: dict) -> list[Pose6DoF]:
+def segment_image(config: PipelineConfig, image: GrayImage, phase: str
+                  ) -> tuple[list[segmentation.Contour], list[segmentation.BinaryMask]]:
+    """Segmentation down to the masks of one phase; returns (refined contours, masks).
+
+    The ROI must lie inside the image and cover at least 3x3 pixels. The
+    contour-area threshold is defined at the full camera frame's scale; an ROI
+    crop does not change apparent box size.
+    """
+    if phase not in _PHASE_ALIASES:
+        raise ConfigError(f"phase must be one of {sorted(_PHASE_ALIASES)}")
+    roi_img = image
+    if config.roi is not None:
+        x, y, w, h = config.roi
+        if not (x >= 0 and y >= 0 and 3 <= w <= image.width - x
+                and 3 <= h <= image.height - y):
+            raise ConfigError(f"roi {list(config.roi)} must cover at least 3x3 pixels "
+                              f"inside the {image.width}x{image.height} image")
+        roi_img = segmentation.extract_roi(image, config.roi)
+    smooth = segmentation.gaussian_smooth_3x3(roi_img)
+    edges = segmentation.auto_canny(smooth, config.canny_sigma)
+    contours = segmentation.find_contours(edges)
+    min_area = segmentation.scaled_min_area(config.min_contour_area,
+                                            image.width, image.height)
+    refined = segmentation.refine_contours(contours, min_area)
+    return refined, segmentation.generate_masks(refined, _PHASE_ALIASES[phase])
+
+
+def _detect(config: PipelineConfig, cloud: OrganizedCloud, segment) -> DetectionReport:
+    """Run ``segment()`` -> (contours, masks), then push each mask through
+    fusion, conditioning, clustering, planes and poses."""
+    config.validate()
+    if config.homography is None:
+        raise ConfigError("calibration missing: config has no rgb_to_depth_homography")
+    seconds = dict.fromkeys(TIMING_KEYS, 0.0)
+    t_total = time.perf_counter()
+    contours, masks = segment()
+    seconds["mask_generation"] = time.perf_counter() - t_total
+
+    counts = {"contours": len(contours), "masks": len(masks), "skipped_masks": 0,
+              "clusters": 0, "planes": 0, "merges": 0}
     homography = _shifted_homography(config)
     poses: list[Pose6DoF] = []
 
@@ -214,27 +244,27 @@ def _apply_masks(config: PipelineConfig, masks, cloud: OrganizedCloud,
             cluster = map_mask_to_cloud(mask, homography, cloud)
         except EmptyClusterError:
             counts["skipped_masks"] += 1
-            timer.add("mask_generation", t0)
             continue
-        timer.add("mask_generation", t0)
+        finally:
+            seconds["mask_generation"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         pts = conditioning.voxel_grid_downsample(cluster.points, config.voxel_leaf_m)
         if len(pts) > config.sor_k:
             pts = conditioning.statistical_outlier_removal(pts, config.sor_k,
                                                            config.sor_alpha)
-        timer.add("filtering", t0)
+        seconds["filtering"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         pts = conditioning.mls_resample(pts, config.mls_radius_m, config.mls_order)
         pts = conditioning.don_filter(pts, config.don_radius_small_m,
                                       config.don_radius_large_m, config.don_threshold)
-        timer.add("resampling_don", t0)
+        seconds["resampling_don"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         labels = clustering.hdbscan(pts, config.min_cluster_size, config.min_samples)
         counts["clusters"] += labels.n_clusters
-        timer.add("clustering", t0)
+        seconds["clustering"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         mask_planes: list[planes.SegmentedPlane] = []
@@ -255,16 +285,17 @@ def _apply_masks(config: PipelineConfig, masks, cloud: OrganizedCloud,
             config.merge_centroid_thresh_m, config.merge_perp_thresh_m)
         counts["planes"] += len(merged)
         counts["merges"] += len(mask_planes) - len(merged)
-        timer.add("plane_segmentation", t0)
+        seconds["plane_segmentation"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         for plane in merged:
             poses.append(pose.estimate_pose(plane, mask.role,
                                             bandwidth=config.mean_shift_bandwidth_m))
-        timer.add("pose_estimation", t0)
+        seconds["pose_estimation"] += time.perf_counter() - t0
 
     poses.sort(key=lambda p: 0 if p.priority == "child" else 1)
-    return poses
+    seconds["total"] = time.perf_counter() - t_total
+    return DetectionReport(poses=poses, timing_s=seconds, counts=counts)
 
 
 def run_pipeline(config: PipelineConfig, image: GrayImage, cloud: OrganizedCloud,
@@ -275,50 +306,12 @@ def run_pipeline(config: PipelineConfig, image: GrayImage, cloud: OrganizedCloud
     counted, not fatal. An empty scene produces a report with zero poses and
     all timing keys present.
     """
-    if phase not in _PHASE_ALIASES:
-        raise ConfigError(f"phase must be one of {sorted(_PHASE_ALIASES)}")
-    phase = _PHASE_ALIASES[phase]
-    config.validate()
-    if config.homography is None:
-        raise ConfigError("calibration missing: config has no rgb_to_depth_homography")
-
-    timer = _StageTimer()
-    t_total = time.perf_counter()
-
-    # Segmentation down to masks. The contour-area threshold is defined at the
-    # full camera frame's scale; an ROI crop does not change apparent box size.
-    t0 = time.perf_counter()
-    roi_img = image
-    if config.roi is not None:
-        roi_img = segmentation.extract_roi(image, config.roi)
-    smooth = segmentation.gaussian_smooth_3x3(roi_img)
-    edges = segmentation.auto_canny(smooth, config.canny_sigma)
-    contours = segmentation.find_contours(edges)
-    min_area = segmentation.scaled_min_area(config.min_contour_area,
-                                            image.width, image.height)
-    refined = segmentation.refine_contours(contours, min_area)
-    masks = segmentation.generate_masks(refined, phase)
-    timer.add("mask_generation", t0)
-
-    counts = {"contours": len(refined), "masks": len(masks), "skipped_masks": 0,
-              "clusters": 0, "planes": 0, "merges": 0}
-    poses = _apply_masks(config, masks, cloud, timer, counts)
-    timer.seconds["total"] = time.perf_counter() - t_total
-    return DetectionReport(poses=poses, timing_s=timer.seconds, counts=counts)
+    return _detect(config, cloud, lambda: segment_image(config, image, phase))
 
 
 def localize_masks(config: PipelineConfig, masks, cloud: OrganizedCloud) -> DetectionReport:
     """Detection from pre-computed masks (the post-segmentation half of a run)."""
-    config.validate()
-    if config.homography is None:
-        raise ConfigError("calibration missing: config has no rgb_to_depth_homography")
-    timer = _StageTimer()
-    t_total = time.perf_counter()
-    counts = {"contours": 0, "masks": len(masks), "skipped_masks": 0,
-              "clusters": 0, "planes": 0, "merges": 0}
-    poses = _apply_masks(config, masks, cloud, timer, counts)
-    timer.seconds["total"] = time.perf_counter() - t_total
-    return DetectionReport(poses=poses, timing_s=timer.seconds, counts=counts)
+    return _detect(config, cloud, lambda: ([], masks))
 
 
 def _wrapped_angle_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -122,10 +122,13 @@ def extract_planes_iterative(points: np.ndarray, *,
                              source_cluster: int = 0) -> list[SegmentedPlane]:
     """Repeatedly fit and remove planes from one cluster.
 
-    A fit is accepted when its inlier count reaches min_object_size; accepted
-    inliers leave the working set. The loop ends when fewer than
-    min_cluster_size points remain, when a new fit reproduces the previously
-    accepted model (no progress), or at the plane/attempt caps.
+    A fit is accepted when its inlier count reaches min_object_size and its
+    plane passes at least dist_thresh from the sensor origin; accepted inliers
+    leave the working set. A plane through the origin is seen edge-on, so its
+    points are one depth column at an occlusion jump edge, not a visible face.
+    The loop ends when fewer than min_cluster_size points remain, when a new
+    fit reproduces the previously accepted model (no progress), or at the
+    plane/attempt caps.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -143,7 +146,7 @@ def extract_planes_iterative(points: np.ndarray, *,
             break
         if prev_model is not None and _same_model(model, prev_model, dist_thresh):
             break
-        if len(inliers) >= min_object_size:
+        if len(inliers) >= min_object_size and model.d >= dist_thresh:
             chosen = active[inliers]
             planes.append(SegmentedPlane(points=pts[chosen], model=model,
                                          source_cluster=source_cluster,

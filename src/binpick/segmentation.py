@@ -11,7 +11,7 @@ processed concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -60,14 +60,6 @@ class GrayImage:
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
-
-
-@dataclass(frozen=True)
-class GradientKernels:
-    """The fixed pair of 3x3 integer kernels for x and y gradients."""
-
-    kgx: np.ndarray = field(default_factory=lambda: KGX.copy())
-    kgy: np.ndarray = field(default_factory=lambda: KGY.copy())
 
 
 @dataclass
@@ -312,15 +304,14 @@ def find_contours(edges: np.ndarray) -> list[Contour]:
     stroke_pixels = {lab: np.flatnonzero(stroke_labels.ravel() == lab)
                      for labs in strokes_in_region.values() for lab in labs}
 
-    filled_cache: dict[int, np.ndarray] = {}
-
-    def _filled(lab: int) -> np.ndarray:
-        if lab not in filled_cache:
-            parts = [region_pixels[lab]]
-            parts.extend(stroke_pixels[s] for s in strokes_in_region[lab])
-            parts.extend(_filled(c) for c in children_regions[lab])
-            filled_cache[lab] = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        return filled_cache[lab]
+    # A region's first raster pixel precedes its children's, so labels
+    # descend from children to parents and each child is filled first.
+    filled_of: dict[int, np.ndarray] = {}
+    for lab in reversed(enclosed):
+        parts = [region_pixels[lab]]
+        parts.extend(stroke_pixels[s] for s in strokes_in_region[lab])
+        parts.extend(filled_of[c] for c in children_regions[lab])
+        filled_of[lab] = np.concatenate(parts) if len(parts) > 1 else parts[0]
 
     # Trace each region boundary inside a padded window of its bounding box.
     objects = ndimage.find_objects(free_labels)
@@ -334,30 +325,29 @@ def find_contours(edges: np.ndarray) -> list[Contour]:
         verts = _trace_boundary(local, start)
         verts[:, 0] += sl[1].start - 1
         verts[:, 1] += sl[0].start - 1
-        filled = np.sort(_filled(lab))
+        filled = np.sort(filled_of[lab])
         index_of[lab] = len(contours)
         contours.append(Contour(
             vertices=verts,
             area=float(filled.size),
-            parent_index=None,
+            parent_index=index_of.get(region_parent[lab]),  # parents come first
             depth=0,
             filled_indices=filled,
             shape=(h, w),
         ))
+    _assign_depths(contours)
+    return contours
 
-    for lab in enclosed:
-        parent = region_parent[lab]
-        if parent is not None:
-            contours[index_of[lab]].parent_index = index_of[parent]
-    for lab in enclosed:
+
+def _assign_depths(contours: list[Contour]) -> None:
+    """Set each contour's depth to the number of its ancestors."""
+    for c in contours:
         depth = 0
-        p = region_parent[lab]
+        p = c.parent_index
         while p is not None:
             depth += 1
-            p = region_parent[p]
-        contours[index_of[lab]].depth = depth
-
-    return contours
+            p = contours[p].parent_index
+        c.depth = depth
 
 
 def scaled_min_area(min_area_at_reference: float, width: int, height: int) -> float:
@@ -385,13 +375,7 @@ def refine_contours(contours: list[Contour], min_area: float = DEFAULT_MIN_CONTO
             filled_indices=c.filled_indices,
             shape=c.shape,
         ))
-    for c in out:
-        depth = 0
-        p = c.parent_index
-        while p is not None:
-            depth += 1
-            p = out[p].parent_index
-        c.depth = depth
+    _assign_depths(out)
     return out
 
 

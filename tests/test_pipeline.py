@@ -1,17 +1,19 @@
+import gc
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import binpick
 from binpick.errors import ConfigError, InputError
 from binpick.fileio import (
     read_image,
     read_mask_pgm,
-    read_pgm,
     read_ply_organized,
-    read_ppm_as_gray,
     truth_from_dict,
     truth_to_dict,
     write_ply_organized,
@@ -101,6 +103,19 @@ class TestRunPipeline:
         assert len(table["matches"]) == 1 and table["misses"] == 0
         assert max(table["matches"][0]["trans_err_mm"]) < 5.0
         assert max(table["matches"][0]["rot_err_deg"]) < 1.0
+
+    def test_leaves_no_cyclic_garbage(self):
+        scene = SceneSpec(boxes=(make_box((120, 100, 60), (10, -20, 30)),),
+                          rgb_resolution=(640, 480))
+        img, cloud, config = synth_inputs(scene)
+        gc.collect()
+        gc.disable()
+        try:
+            report = run_pipeline(config, img, cloud, "parent")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert len(report.poses) == 1
 
     def test_missing_calibration_rejected(self):
         scene = SceneSpec(rgb_resolution=(448, 344))
@@ -242,8 +257,6 @@ class TestFileFormats:
         img = GrayImage(rng.integers(0, 256, size=(34, 46), dtype=np.uint8))
         path = tmp_path / "img.pgm"
         write_pgm(path, img)
-        back = read_pgm(path)
-        assert np.array_equal(back.pixels, img.pixels)
         assert np.array_equal(read_image(path).pixels, img.pixels)
 
     def test_ppm_luma(self, tmp_path):
@@ -255,7 +268,7 @@ class TestFileFormats:
         rgb[1, 1] = (255, 255, 255)
         with open(path, "wb") as fh:
             fh.write(b"P6\n2 2\n255\n" + rgb.tobytes())
-        gray = read_ppm_as_gray(path)
+        gray = read_image(path)
         assert gray.pixels[0, 0] == round(0.299 * 255)
         assert gray.pixels[0, 1] == round(0.587 * 255)
         assert gray.pixels[1, 0] == round(0.114 * 255)
@@ -266,7 +279,7 @@ class TestFileFormats:
         bits[2:5, 3:9] = True
         path = tmp_path / "mask_child.pgm"
         write_mask_pgm(path, BinaryMask(bits=bits, role="child"))
-        raw = read_pgm(path)
+        raw = read_image(path)
         assert set(np.unique(raw.pixels)) == {0, 255}
         back = read_mask_pgm(path, "child")
         assert np.array_equal(back.bits, bits)
@@ -302,9 +315,14 @@ class TestFileFormats:
         assert data["rgb_to_depth_homography"][8] == 1.0
 
 
+# The CLI child process imports the same binpick as this test process.
+_CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(binpick.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+
+
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "binpick.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_CLI_ENV)
 
 
 @pytest.fixture(scope="module")
@@ -375,6 +393,24 @@ class TestCli:
                       str(workdir / "data" / "cloud.ply"),
                       "--config", str(workdir / "bad_config.json"))
         assert out.returncode == 3
+
+    def test_truncated_image_is_input_error(self, workdir):
+        (workdir / "truncated.pgm").write_bytes(b"P5\n10 10\n255\n0123")
+        out = run_cli("segment", str(workdir / "truncated.pgm"),
+                      "--out", str(workdir / "truncated_masks"))
+        assert out.returncode == 2, out.stderr
+        assert "truncated" in out.stderr
+
+    def test_roi_outside_image_is_config_error(self, workdir):
+        config = json.loads((workdir / "config.json").read_text())
+        image = str(workdir / "data" / "image.pgm")
+        for roi in ([0, 0, 5000, 10], [600, 0, 50, 10], [10, 10, 2, 2]):
+            write_json(workdir / "roi_config.json", {**config, "roi": roi})
+            for args in (("segment", image, "--out", str(workdir / "roi_masks")),
+                         ("pipeline", image, str(workdir / "data" / "cloud.ply"))):
+                out = run_cli(*args, "--config", str(workdir / "roi_config.json"))
+                assert out.returncode == 3, (roi, args[0], out.stderr)
+                assert "roi" in out.stderr
 
     def test_missing_calibration_is_config_error(self, workdir):
         write_json(workdir / "empty_config.json", {})

@@ -108,6 +108,16 @@ class TestExtractPlanesIterative:
         pts = plane_patch(rng, 20, [0, 0, 1], -0.5)
         assert extract_planes_iterative(pts, min_cluster_size=30, seed=0) == []
 
+    def test_depth_column_through_sensor_origin_no_plane(self):
+        # One depth column at an occlusion jump edge: along-ray noise keeps
+        # every point on the plane x = 0.2 z through the sensor origin.
+        rng = np.random.default_rng(10)
+        ray_y = np.linspace(0.08, 0.1, 32)
+        rays = np.stack([np.full(32, 0.2), ray_y, np.ones(32)], axis=1)
+        pts = rays * rng.uniform(1.18, 1.2, size=(32, 1))
+        assert extract_planes_iterative(pts, min_cluster_size=30, min_object_size=30,
+                                        seed=0) == []
+
     def test_extraction_disjoint_inliers(self):
         rng = np.random.default_rng(8)
         a = plane_patch(rng, 120, [0, 0, 1], -0.5, extent=0.05)
