@@ -126,7 +126,7 @@ def map_mask_to_cloud(mask: BinaryMask, homography: Homography,
     duplicate cells collapse to one point. Raises EmptyClusterError when
     nothing valid remains.
     """
-    ys, xs = np.nonzero(mask.bits)
+    ys, xs = np.divmod(np.flatnonzero(mask.bits), mask.width)
     if len(xs) == 0:
         raise EmptyClusterError("mask has no set bits")
     mapped = homography.map_points(np.column_stack([xs, ys]))
@@ -137,7 +137,10 @@ def map_mask_to_cloud(mask: BinaryMask, homography: Homography,
     if len(u) == 0:
         raise EmptyClusterError("mask maps entirely outside the depth grid")
     ok = cloud.valid[v, u]
-    cells = np.unique(v[ok] * cloud.width + u[ok])
+    # Scatter into a grid-sized bitmap: its set cells come out sorted and unique.
+    hit = np.zeros(cloud.height * cloud.width, dtype=bool)
+    hit[v[ok] * cloud.width + u[ok]] = True
+    cells = np.flatnonzero(hit)
     if len(cells) == 0:
         raise EmptyClusterError("mask covers no valid depth points")
     points = cloud.points.reshape(-1, 3)[cells]

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import clustering, conditioning, planes, pose, segmentation
 from .core import OrganizedCloud
-from .errors import ConfigError, EmptyClusterError
+from .errors import ConfigError, EmptyClusterError, InputError
 from .fusion import HOMOGRAPHY_JSON_KEY, Homography, map_mask_to_cloud
 from .pose import Pose6DoF
 from .segmentation import GrayImage
@@ -82,6 +82,12 @@ class PipelineConfig:
 
     def validate(self) -> "PipelineConfig":
         c = self
+        for name, optional in _INT_FIELDS.items():
+            value = getattr(c, name)
+            if value is None and optional:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, not {value!r}")
         checks = [
             (c.canny_sigma > 0, "canny_sigma must be positive"),
             (c.min_contour_area >= 0, "min_contour_area cannot be negative"),
@@ -116,6 +122,9 @@ class PipelineConfig:
 
 
 _CONFIG_FIELDS = {f.name for f in dataclass_fields(PipelineConfig)} - {"homography"}
+# Integer fields -> whether None is allowed; bools and floats are rejected.
+_INT_FIELDS = {f.name: f.type == "int | None" for f in dataclass_fields(PipelineConfig)
+               if f.type in ("int", "int | None")}
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
@@ -199,14 +208,19 @@ def segment_image(config: PipelineConfig, image: GrayImage, phase: str
                   ) -> tuple[list[segmentation.Contour], list[segmentation.BinaryMask]]:
     """Segmentation down to the masks of one phase; returns (refined contours, masks).
 
-    The ROI must lie inside the image and cover at least 3x3 pixels. The
-    contour-area threshold is defined at the full camera frame's scale; an ROI
-    crop does not change apparent box size.
+    The ROI must lie inside the image and cover at least 3x3 pixels; without
+    one, the image itself must (InputError otherwise). The contour-area
+    threshold is defined at the full camera frame's scale; an ROI crop does
+    not change apparent box size.
     """
     if phase not in _PHASE_ALIASES:
         raise ConfigError(f"phase must be one of {sorted(_PHASE_ALIASES)}")
     roi_img = image
-    if config.roi is not None:
+    if config.roi is None:
+        if image.width < 3 or image.height < 3:
+            raise InputError(f"image is {image.width}x{image.height}; "
+                             "segmentation needs at least 3x3 pixels")
+    else:
         x, y, w, h = config.roi
         if not (x >= 0 and y >= 0 and 3 <= w <= image.width - x
                 and 3 <= h <= image.height - y):

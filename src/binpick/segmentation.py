@@ -29,6 +29,13 @@ GAUSSIAN_3X3 = np.array([[1, 2, 1],
                          [2, 4, 2],
                          [1, 2, 1]], dtype=np.float64) / 16.0
 
+# Separable factors (column taps, row taps) the kernels are applied with:
+# KGX = outer(BINOMIAL_TAPS, DIFFERENCE_TAPS),
+# KGY = outer(DIFFERENCE_TAPS[::-1], BINOMIAL_TAPS),
+# 16 * GAUSSIAN_3X3 = outer(BINOMIAL_TAPS, BINOMIAL_TAPS).
+BINOMIAL_TAPS = (1, 2, 1)
+DIFFERENCE_TAPS = (-1, 0, 1)
+
 # Contour-area threshold of 2500 px^2 is calibrated for a 2048x1536 frame;
 # other resolutions scale it by pixel count.
 REFERENCE_PIXELS = 2048 * 1536
@@ -113,39 +120,67 @@ def extract_roi(img: GrayImage, rect: tuple[int, int, int, int]) -> GrayImage:
     return GrayImage(img.pixels[y:y + h, x:x + w].copy())
 
 
-def _correlate_replicated(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    padded = np.pad(values, 1, mode="edge")
-    out = np.zeros_like(values, dtype=np.float64)
-    h, w = values.shape
-    for dy in range(3):
-        for dx in range(3):
-            k = kernel[dy, dx]
-            if k != 0:
-                out += k * padded[dy:dy + h, dx:dx + w]
+def _correlate_1d(a: np.ndarray, taps: tuple[int, int, int], axis: int) -> np.ndarray:
+    """Correlate a padded array with a 3-tap integer kernel along ``axis``; the
+    result is one element shorter at each end of that axis, in ``a``'s dtype."""
+    n = a.shape[axis] - 2
+    index = [slice(None), slice(None)]
+    out = None
+    for k, weight in enumerate(taps):
+        if weight == 0:
+            continue
+        index[axis] = slice(k, k + n)
+        view = a[tuple(index)]
+        if out is None:
+            out = view * weight
+        elif weight == 1:  # unit weights add in place, without a temporary
+            out += view
+        elif weight == -1:
+            out -= view
+        else:
+            out += view * weight
     return out
 
 
-def gaussian_smooth_3x3(img: GrayImage) -> GrayImage:
-    """Smooth with the 3x3 binomial kernel; borders replicate edge pixels."""
+def _padded(img: GrayImage, dtype) -> np.ndarray:
+    """The pixels with one replicated border pixel on each side, as ``dtype``."""
     if img.width < 3 or img.height < 3:
         raise ValueError("image must be at least 3x3")
-    out = _correlate_replicated(img.pixels.astype(np.float64), GAUSSIAN_3X3)
-    return GrayImage(np.clip(np.rint(out), 0, 255).astype(np.uint8))
+    return np.pad(img.pixels, 1, mode="edge").astype(dtype)
+
+
+# Sums of the 16-weight binomial over 8-bit pixels lie in 0..4080; the table
+# divides by 16 and rounds half to even, as np.rint does.
+_ROUND_SIXTEENTHS = np.rint(np.arange(16 * 255 + 1) / 16.0).astype(np.uint8)
+
+
+def gaussian_smooth_3x3(img: GrayImage) -> GrayImage:
+    """Smooth with the 3x3 binomial kernel; borders replicate edge pixels.
+
+    The kernel is outer(BINOMIAL_TAPS, BINOMIAL_TAPS) / 16, applied as two
+    integer passes and one exact rounding lookup.
+    """
+    padded = _padded(img, np.uint16)
+    sums = _correlate_1d(_correlate_1d(padded, BINOMIAL_TAPS, 1), BINOMIAL_TAPS, 0)
+    return GrayImage(_ROUND_SIXTEENTHS[sums])
 
 
 def sobel_gradients(img: GrayImage) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pixel gx, gy and L2 magnitude from the fixed gradient kernels."""
-    if img.width < 3 or img.height < 3:
-        raise ValueError("image must be at least 3x3")
-    values = img.pixels.astype(np.float64)
-    gx = _correlate_replicated(values, KGX.astype(np.float64))
-    gy = _correlate_replicated(values, KGY.astype(np.float64))
-    return gx, gy, np.hypot(gx, gy)
+    """Per-pixel gx, gy and L2 magnitude from the fixed gradient kernels.
+
+    Both kernels run as separable integer passes (|g| <= 1020 fits int16);
+    ``mag`` is float64.
+    """
+    padded = _padded(img, np.int16)
+    gx = _correlate_1d(_correlate_1d(padded, DIFFERENCE_TAPS, 1), BINOMIAL_TAPS, 0)
+    gy = _correlate_1d(_correlate_1d(padded, BINOMIAL_TAPS, 1), DIFFERENCE_TAPS[::-1], 0)
+    return gx, gy, np.hypot(gx.astype(np.float64), gy.astype(np.float64))
 
 
 # Neighbor offsets (dx, dy) per quantized signed gradient direction, 45-degree
 # sectors counterclockwise from +x.
 _NMS_OFFSETS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+_NMS_DX, _NMS_DY = np.array(_NMS_OFFSETS).T
 
 
 def auto_canny(img: GrayImage, sigma: float = DEFAULT_CANNY_SIGMA) -> np.ndarray:
@@ -156,33 +191,41 @@ def auto_canny(img: GrayImage, sigma: float = DEFAULT_CANNY_SIGMA) -> np.ndarray
     the quantized signed gradient direction; the tie on an ideal two-pixel step
     keeps the pixel the gradient points away from (the darker side), so step
     edges stay one pixel wide and opposite edges of a bright region erode it
-    symmetrically.
+    symmetrically. Neighbors beyond the border replicate the edge pixel.
+
+    Only pixels above the lower threshold can become edges, so suppression
+    runs on those alone.
     """
     gx, gy, mag = sobel_gradients(img)
-
-    deg = (np.degrees(np.arctan2(gy, gx)) + 360.0) % 360.0
-    sector = (np.floor((deg + 22.5) / 45.0).astype(np.int64)) % 8
-
-    padded = np.pad(mag, 1, mode="edge")
     h, w = mag.shape
-    keep = np.zeros((h, w), dtype=bool)
-    for s, (dx, dy) in enumerate(_NMS_OFFSETS):
-        nxt = padded[1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
-        prv = padded[1 - dy:1 - dy + h, 1 - dx:1 - dx + w]
-        keep |= (sector == s) & (mag > prv) & (mag >= nxt)
-
     med = float(np.median(img.pixels))
     lower = max(0.0, (1.0 - sigma) * med)
     upper = min(255.0, (1.0 + sigma) * med)
 
-    weak = keep & (mag > lower)
-    strong = keep & (mag > upper)
-    if not strong.any():
-        return np.zeros((h, w), dtype=bool)
-    labels, _ = ndimage.label(weak, structure=_EIGHT_CONN)
-    strong_labels = np.unique(labels[strong])
-    strong_labels = strong_labels[strong_labels > 0]
-    return np.isin(labels, strong_labels)
+    flat_mag = mag.ravel()
+    cand = np.flatnonzero(flat_mag > lower)
+    m = flat_mag[cand]
+    deg = (np.degrees(np.arctan2(gy.ravel()[cand].astype(np.float64),
+                                 gx.ravel()[cand].astype(np.float64))) + 360.0) % 360.0
+    sector = (np.floor((deg + 22.5) / 45.0).astype(np.int64)) % 8
+    dx, dy = _NMS_DX[sector], _NMS_DY[sector]
+    y, x = np.divmod(cand, w)
+    nxt = mag[np.clip(y + dy, 0, h - 1), np.clip(x + dx, 0, w - 1)]
+    prv = mag[np.clip(y - dy, 0, h - 1), np.clip(x - dx, 0, w - 1)]
+    keep = (m > prv) & (m >= nxt)
+
+    weak = cand[keep]
+    strong = weak[m[keep] > upper]
+    edges = np.zeros(h * w, dtype=bool)
+    if strong.size == 0:
+        return edges.reshape(h, w)
+    edges[weak] = True
+    labels, n = ndimage.label(edges.reshape(h, w), structure=_EIGHT_CONN)
+    labels = labels.ravel()
+    hit = np.zeros(n + 1, dtype=bool)
+    hit[labels[strong]] = True
+    edges[weak] = hit[labels[weak]]
+    return edges.reshape(h, w)
 
 
 # Clockwise Moore neighborhood, (dx, dy) with y pointing down.
@@ -227,13 +270,17 @@ def _trace_boundary(region: np.ndarray, start_yx: tuple[int, int]) -> np.ndarray
     return np.array(vertices, dtype=np.int64)
 
 
-def _first_pixels(labels: np.ndarray, n_labels: int) -> np.ndarray:
-    """Raster-order first flat index of each label (0..n_labels), -1 when absent."""
-    first = np.full(n_labels + 1, -1, dtype=np.int64)
-    flat = labels.ravel()
-    values, idx = np.unique(flat, return_index=True)
-    first[values] = idx
-    return first
+def _first_pixel(labels: np.ndarray, lab: int, bbox: tuple[slice, slice]) -> tuple[int, int]:
+    """Topmost-leftmost (y, x) pixel of label ``lab``: the first hit in its
+    bounding box's top row."""
+    y, cols = bbox[0].start, bbox[1]
+    return y, cols.start + int(np.argmax(labels[y, cols] == lab))
+
+
+def _pixels(labels: np.ndarray, lab: int, bbox: tuple[slice, slice]) -> np.ndarray:
+    """Raster-ordered flat indices of label ``lab``, scanned within its bounding box."""
+    ys, xs = np.nonzero(labels[bbox] == lab)
+    return (ys + bbox[0].start) * labels.shape[1] + (xs + bbox[1].start)
 
 
 def find_contours(edges: np.ndarray) -> list[Contour]:
@@ -248,43 +295,44 @@ def find_contours(edges: np.ndarray) -> list[Contour]:
     if e.size == 0 or not e.any():
         return []
     h, w = e.shape
-    dilated = ndimage.binary_dilation(e, structure=_EIGHT_CONN)
+    # 3x3 dilation as two separable passes of shifted ORs; nothing lies
+    # beyond the border.
+    rows = e.copy()
+    rows[:, 1:] |= e[:, :-1]
+    rows[:, :-1] |= e[:, 1:]
+    dilated = rows.copy()
+    dilated[1:] |= rows[:-1]
+    dilated[:-1] |= rows[1:]
 
     free_labels, n_free = ndimage.label(~dilated, structure=_FOUR_CONN)
     stroke_labels, n_strokes = ndimage.label(dilated, structure=_EIGHT_CONN)
 
-    border = np.zeros((h, w), dtype=bool)
-    border[0, :] = border[-1, :] = True
-    border[:, 0] = border[:, -1] = True
-    outside = np.unique(free_labels[border & (free_labels > 0)])
-    outside_set = set(int(v) for v in outside)
-
-    enclosed = [lab for lab in range(1, n_free + 1) if lab not in outside_set]
+    outside = np.zeros(n_free + 1, dtype=bool)
+    for edge in (free_labels[0], free_labels[-1], free_labels[:, 0], free_labels[:, -1]):
+        outside[edge] = True
+    enclosed = [int(lab) for lab in np.flatnonzero(~outside[1:]) + 1]
     if not enclosed:
         return []
 
-    free_first = _first_pixels(free_labels, n_free)
-    stroke_first = _first_pixels(stroke_labels, n_strokes)
+    free_boxes = ndimage.find_objects(free_labels)
+    stroke_boxes = ndimage.find_objects(stroke_labels)
+    free_first = {lab: _first_pixel(free_labels, lab, free_boxes[lab - 1])
+                  for lab in enclosed}
 
     # The pixel directly above a component's topmost-leftmost pixel always
     # belongs to the other class (or lies off-image), so it identifies the
     # component's container: strokes sit inside free space, free regions sit
     # inside strokes. Chaining the two gives each region's parent region.
-    def _above(flat_idx: int) -> tuple[int, int]:
-        y, x = divmod(flat_idx, w)
-        return y - 1, x
-
     stroke_container = {}  # stroke label -> free label (or -1 for image border)
     for lab in range(1, n_strokes + 1):
-        y, x = _above(int(stroke_first[lab]))
-        stroke_container[lab] = int(free_labels[y, x]) if y >= 0 else -1
+        y, x = _first_pixel(stroke_labels, lab, stroke_boxes[lab - 1])
+        stroke_container[lab] = int(free_labels[y - 1, x]) if y > 0 else -1
 
     enclosed_set = set(enclosed)
     region_parent = {}  # free label -> free label or None
     for lab in enclosed:
-        y, x = _above(int(free_first[lab]))
-        stroke = int(stroke_labels[y, x])
-        parent = stroke_container[stroke]
+        y, x = free_first[lab]
+        parent = stroke_container[int(stroke_labels[y - 1, x])]
         region_parent[lab] = parent if parent in enclosed_set else None
 
     children_regions: dict[int, list[int]] = {lab: [] for lab in enclosed}
@@ -299,28 +347,24 @@ def find_contours(edges: np.ndarray) -> list[Contour]:
             strokes_in_region[container].append(stroke)
 
     # Filled polygon of a region = its own pixels plus everything nested below:
-    # descendant regions and the strokes they contain.
-    region_pixels = {lab: np.flatnonzero(free_labels.ravel() == lab) for lab in enclosed}
-    stroke_pixels = {lab: np.flatnonzero(stroke_labels.ravel() == lab)
-                     for labs in strokes_in_region.values() for lab in labs}
-
-    # A region's first raster pixel precedes its children's, so labels
-    # descend from children to parents and each child is filled first.
+    # descendant regions and the strokes they contain. A region's first raster
+    # pixel precedes its children's, so labels descend from children to
+    # parents and each child is filled first.
     filled_of: dict[int, np.ndarray] = {}
     for lab in reversed(enclosed):
-        parts = [region_pixels[lab]]
-        parts.extend(stroke_pixels[s] for s in strokes_in_region[lab])
+        parts = [_pixels(free_labels, lab, free_boxes[lab - 1])]
+        parts.extend(_pixels(stroke_labels, s, stroke_boxes[s - 1])
+                     for s in strokes_in_region[lab])
         parts.extend(filled_of[c] for c in children_regions[lab])
         filled_of[lab] = np.concatenate(parts) if len(parts) > 1 else parts[0]
 
     # Trace each region boundary inside a padded window of its bounding box.
-    objects = ndimage.find_objects(free_labels)
     contours: list[Contour] = []
     index_of: dict[int, int] = {}
     for lab in enclosed:  # enclosed is already in raster order of first pixel
-        sl = objects[lab - 1]
+        sl = free_boxes[lab - 1]
         local = np.pad(free_labels[sl] == lab, 1, mode="constant")
-        fy, fx = divmod(int(free_first[lab]), w)
+        fy, fx = free_first[lab]
         start = (fy - sl[0].start + 1, fx - sl[1].start + 1)
         verts = _trace_boundary(local, start)
         verts[:, 0] += sl[1].start - 1

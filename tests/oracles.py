@@ -2,7 +2,8 @@
 
 Everything here is written the slow, obvious way on purpose: exhaustive
 pairwise distances, Kruskal over the full edge list, all 3-subsets for plane
-fitting. None of it shares code with the library paths it validates.
+fitting. None of it shares code with the library paths it validates, except
+the boundary walk the contour reference takes as an argument.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy import ndimage
 
 
 def brute_knn(points: np.ndarray, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -145,3 +147,108 @@ def flat_kernel_density_argmax(points: np.ndarray, bandwidth: float,
                     best_count = count
                     best = q
     return best
+
+
+def correlate_3x3_replicated(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """9-tap float64 cross-correlation with edge-replicated borders."""
+    padded = np.pad(values.astype(np.float64), 1, mode="edge")
+    h, w = values.shape
+    out = np.zeros((h, w), dtype=np.float64)
+    for dy in range(3):
+        for dx in range(3):
+            out += kernel[dy, dx] * padded[dy:dy + h, dx:dx + w]
+    return out
+
+
+_GAUSSIAN_3X3 = np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]]) / 16.0
+_SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64)
+_SOBEL_Y = np.array([[1, 2, 1], [0, 0, 0], [-1, -2, -1]], dtype=np.float64)
+
+
+def smooth_3x3(pixels: np.ndarray) -> np.ndarray:
+    """Binomial smoothing rounded half to even, clipped to 8 bits."""
+    out = correlate_3x3_replicated(pixels, _GAUSSIAN_3X3)
+    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+
+
+def sobel(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float64 gx, gy and their hypotenuse."""
+    gx = correlate_3x3_replicated(pixels, _SOBEL_X)
+    gy = correlate_3x3_replicated(pixels, _SOBEL_Y)
+    return gx, gy, np.hypot(gx, gy)
+
+
+def canny(pixels: np.ndarray, sigma: float) -> np.ndarray:
+    """Median-threshold Canny over the full frame: per-pixel direction sector,
+    non-maximum suppression against edge-padded neighbours, and hysteresis by
+    set membership of the labels that hold a strong pixel."""
+    gx, gy, mag = sobel(pixels)
+    deg = (np.degrees(np.arctan2(gy, gx)) + 360.0) % 360.0
+    sector = (np.floor((deg + 22.5) / 45.0).astype(np.int64)) % 8
+    offsets = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+    padded = np.pad(mag, 1, mode="edge")
+    h, w = mag.shape
+    keep = np.zeros((h, w), dtype=bool)
+    for s, (dx, dy) in enumerate(offsets):
+        nxt = padded[1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
+        prv = padded[1 - dy:1 - dy + h, 1 - dx:1 - dx + w]
+        keep |= (sector == s) & (mag > prv) & (mag >= nxt)
+    med = float(np.median(pixels))
+    weak = keep & (mag > max(0.0, (1.0 - sigma) * med))
+    strong = keep & (mag > min(255.0, (1.0 + sigma) * med))
+    labels, _ = ndimage.label(weak, structure=np.ones((3, 3), dtype=bool))
+    strong_labels = np.unique(labels[strong])
+    return np.isin(labels, strong_labels[strong_labels > 0])
+
+
+def contours(edges: np.ndarray, trace_boundary) -> list[tuple]:
+    """Nested contours of an edge map, scanning the full frame for every lookup.
+
+    Returns (vertices, filled_indices, parent_index, depth) per enclosed
+    free-space region in raster order of its first pixel. First pixels come
+    from ``np.unique`` over the whole label image and pixel lists from
+    whole-frame comparisons. ``trace_boundary(region, start_yx)`` walks one
+    region's boundary; it runs here on a padded full-frame bitmap.
+    """
+    h, w = edges.shape
+    dilated = ndimage.binary_dilation(edges, structure=np.ones((3, 3), dtype=bool))
+    free, n_free = ndimage.label(~dilated)
+    strokes, n_strokes = ndimage.label(dilated, structure=np.ones((3, 3), dtype=bool))
+    border = np.zeros((h, w), dtype=bool)
+    border[0, :] = border[-1, :] = border[:, 0] = border[:, -1] = True
+    outside = set(np.unique(free[border]).tolist())
+    enclosed = [lab for lab in range(1, n_free + 1) if lab not in outside]
+
+    def first_pixels(labels):
+        values, idx = np.unique(labels.ravel(), return_index=True)
+        return dict(zip(values.tolist(), idx.tolist()))
+
+    def container_above(flat_idx, labels):
+        y, x = divmod(flat_idx, w)
+        return int(labels[y - 1, x]) if y > 0 else -1
+
+    free_first, stroke_first = first_pixels(free), first_pixels(strokes)
+    stroke_in = {s: container_above(stroke_first[s], free) for s in range(1, n_strokes + 1)}
+    parent = {}
+    for lab in enclosed:
+        p = stroke_in[container_above(free_first[lab], strokes)]
+        parent[lab] = p if p in enclosed else None
+
+    def filled(lab):
+        parts = [np.flatnonzero(free.ravel() == lab)]
+        parts += [np.flatnonzero(strokes.ravel() == s)
+                  for s, c in stroke_in.items() if c == lab]
+        parts += [filled(c) for c in enclosed if parent[c] == lab]
+        return np.concatenate(parts)
+
+    out = []
+    for lab in enclosed:
+        y, x = divmod(free_first[lab], w)
+        verts = trace_boundary(np.pad(free == lab, 1), (y + 1, x + 1)) - 1
+        depth, p = 0, parent[lab]
+        while p is not None:
+            depth, p = depth + 1, parent[p]
+        out.append((verts, np.sort(filled(lab)),
+                    enclosed.index(parent[lab]) if parent[lab] is not None else None,
+                    depth))
+    return out

@@ -70,6 +70,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"mls_order": 3})
 
+    @pytest.mark.parametrize("key", ["sor_k", "mls_order", "min_cluster_size",
+                                     "min_samples", "min_object_size",
+                                     "ransac_iterations", "seed"])
+    @pytest.mark.parametrize("value", [True, False, 2.5, 30.0, "30"])
+    def test_integer_fields_reject_other_types(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({key: value})
+
+    def test_integer_fields_accept_integers(self):
+        cfg = config_from_dict({"sor_k": 8, "min_samples": None, "seed": 7,
+                                "ransac_iterations": 50})
+        assert (cfg.sor_k, cfg.min_samples, cfg.seed, cfg.ransac_iterations) == (8, None, 7, 50)
+
     def test_homography_roundtrip(self):
         h = Homography(np.array([[0.5, 0, 3], [0, 0.5, 7], [0, 0, 1.0]]))
         cfg = PipelineConfig(homography=h)
@@ -411,6 +424,15 @@ class TestCli:
                 out = run_cli(*args, "--config", str(workdir / "roi_config.json"))
                 assert out.returncode == 3, (roi, args[0], out.stderr)
                 assert "roi" in out.stderr
+
+    def test_image_under_3x3_is_input_error(self, workdir):
+        (workdir / "tiny.pgm").write_bytes(b"P5\n2 2\n255\nabcd")
+        image = str(workdir / "tiny.pgm")
+        for args in (("segment", image, "--out", str(workdir / "tiny_masks")),
+                     ("pipeline", image, str(workdir / "data" / "cloud.ply"))):
+            out = run_cli(*args, "--config", str(workdir / "config.json"))
+            assert out.returncode == 2, (args[0], out.stderr)
+            assert "3x3" in out.stderr
 
     def test_missing_calibration_is_config_error(self, workdir):
         write_json(workdir / "empty_config.json", {})

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from binpick.segmentation import (
+    BINOMIAL_TAPS,
+    DIFFERENCE_TAPS,
+    GAUSSIAN_3X3,
     KGX,
     KGY,
     BinaryMask,
@@ -15,7 +19,10 @@ from binpick.segmentation import (
     refine_contours,
     scaled_min_area,
     sobel_gradients,
+    _trace_boundary,
 )
+
+from . import oracles
 
 
 def ring_bitmap(h, w, y0, y1, x0, x1):
@@ -33,6 +40,43 @@ class TestKernels:
         assert np.array_equal(KGX, [[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]])
         assert np.array_equal(KGY, [[1, 2, 1], [0, 0, 0], [-1, -2, -1]])
         assert KGX.sum() == 0 and KGY.sum() == 0
+
+    def test_separable_factors(self):
+        assert np.array_equal(np.outer(BINOMIAL_TAPS, DIFFERENCE_TAPS), KGX)
+        assert np.array_equal(np.outer(DIFFERENCE_TAPS[::-1], BINOMIAL_TAPS), KGY)
+        assert np.array_equal(np.outer(BINOMIAL_TAPS, BINOMIAL_TAPS), 16 * GAUSSIAN_3X3)
+
+
+@st.composite
+def gray_images(draw):
+    """uint8 images from 3x3 to 64x64: two-level blocks or full-range texture."""
+    h = draw(st.integers(3, 64))
+    w = draw(st.integers(3, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        lo, hi = sorted(draw(st.lists(st.integers(0, 255), min_size=2, max_size=2)))
+        cell = draw(st.integers(1, 8))
+        coarse = rng.random(((h + cell - 1) // cell, (w + cell - 1) // cell)) < 0.5
+        px = np.where(np.kron(coarse, np.ones((cell, cell), dtype=bool))[:h, :w], hi, lo)
+    else:
+        px = rng.integers(0, 256, size=(h, w))
+    return px.astype(np.uint8)
+
+
+class TestAgainstFloatReference:
+    """Integer kernels and candidate-only suppression give the arrays of the
+    9-tap float64 correlation and full-frame suppression."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(px=gray_images(), sigma=st.floats(0.05, 0.95))
+    def test_smooth_sobel_canny(self, px, sigma):
+        img = GrayImage(px)
+        assert np.array_equal(gaussian_smooth_3x3(img).pixels, oracles.smooth_3x3(px))
+        gx, gy, mag = sobel_gradients(img)
+        rgx, rgy, rmag = oracles.sobel(px)
+        assert np.array_equal(gx, rgx) and np.array_equal(gy, rgy)
+        assert mag.dtype == np.float64 and np.array_equal(mag, rmag)
+        assert np.array_equal(auto_canny(img, sigma), oracles.canny(px, sigma))
 
 
 class TestExtractRoi:
@@ -201,6 +245,56 @@ class TestFindContours:
         expected = np.zeros((28, 28), dtype=bool)
         expected[4:24, 4:24] = True  # interior of the dilated outer ring, hole included
         assert np.array_equal(got.reshape(28, 28), expected)
+
+
+def _assert_matches_reference(edges):
+    got = find_contours(edges)
+    want = oracles.contours(edges, _trace_boundary)
+    assert len(got) == len(want)
+    for c, (verts, filled, parent, depth) in zip(got, want):
+        assert np.array_equal(c.vertices, verts)
+        assert np.array_equal(c.filled_indices, filled)
+        assert c.parent_index == parent and c.depth == depth
+        assert c.area == filled.size
+
+
+class TestFindContoursAgainstFullFrameReference:
+    def test_nested_rings(self):
+        e = (ring_bitmap(60, 70, 2, 57, 3, 66) | ring_bitmap(60, 70, 8, 50, 8, 40)
+             | ring_bitmap(60, 70, 14, 30, 14, 30) | ring_bitmap(60, 70, 8, 30, 46, 62))
+        _assert_matches_reference(e)
+
+    def test_strokes_touching_border(self):
+        e = ring_bitmap(40, 50, 5, 30, 5, 30)
+        e[0:12, 40] = True        # chain from the top border
+        e[20, 35:50] = True       # chain to the right border
+        e[33:40, 10] = True       # chain from a ring into the bottom border
+        e[39, 20:30] = True       # stroke along the bottom border
+        e[15, 15:20] = True       # loose stroke inside the ring
+        _assert_matches_reference(e)
+
+    def test_region_first_row_starts_mid_bbox(self):
+        # A diamond outline: its enclosed region's top row holds one pixel in
+        # the middle of the bounding box, and a nested ring sits in its lower half.
+        e = np.zeros((50, 50), dtype=bool)
+        for i in range(20):
+            e[3 + i, 25 - i] = e[3 + i, 25 + i] = True
+            e[42 - i, 25 - i] = e[42 - i, 25 + i] = True
+        e |= ring_bitmap(50, 50, 24, 32, 20, 30)
+        _assert_matches_reference(e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_rings=st.integers(0, 6),
+           density=st.floats(0.0, 0.03))
+    def test_random_scenes(self, seed, n_rings, density):
+        rng = np.random.default_rng(seed)
+        h, w = rng.integers(8, 64, size=2)
+        e = rng.random((h, w)) < density
+        for _ in range(n_rings):
+            y0, y1 = np.sort(rng.integers(0, h, size=2))
+            x0, x1 = np.sort(rng.integers(0, w, size=2))
+            e |= ring_bitmap(h, w, y0, y1, x0, x1)
+        _assert_matches_reference(e)
 
 
 class TestRefineContours:
