@@ -121,8 +121,6 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = fileio.read_json(args.report)
-    if "poses" not in report:
-        raise InputError("report JSON lacks 'poses'")
     truth = fileio.truth_from_dict(fileio.read_json(args.truth))
     table = verify_against_ground_truth(report, truth, args.match_radius)
     if args.out:

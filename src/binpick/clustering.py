@@ -57,7 +57,6 @@ class CondensedNode:
     node_id: int
     parent_id: Optional[int]
     lambda_birth: float
-    lambda_death: float
     size: int
     stability: float
     children: list[int] = field(default_factory=list)
@@ -164,7 +163,7 @@ def _condense(children: np.ndarray, distances: np.ndarray, sizes: np.ndarray,
                    1.0 / _MIN_DISTANCE)
 
     nodes: dict[int, CondensedNode] = {
-        0: CondensedNode(0, None, 0.0, 0.0, n, 0.0)
+        0: CondensedNode(0, None, 0.0, n, 0.0)
     }
     point_cluster = np.zeros(n, dtype=np.int64)
     point_lambda = np.zeros(n)
@@ -197,10 +196,9 @@ def _condense(children: np.ndarray, distances: np.ndarray, sizes: np.ndarray,
             for child, size in ((left, ls), (right, rs)):
                 cid = next_id
                 next_id += 1
-                nodes[cid] = CondensedNode(cid, cluster, lv, lv, size, 0.0)
+                nodes[cid] = CondensedNode(cid, cluster, lv, size, 0.0)
                 nodes[cluster].children.append(cid)
                 stack.append((child, cid))
-            nodes[cluster].lambda_death = max(nodes[cluster].lambda_death, lv)
         else:
             for child, size in ((left, ls), (right, rs)):
                 if size >= min_cluster_size:
@@ -209,7 +207,6 @@ def _condense(children: np.ndarray, distances: np.ndarray, sizes: np.ndarray,
                     for p in leaves_of(child):
                         point_cluster[p] = cluster
                         point_lambda[p] = lv
-                    nodes[cluster].lambda_death = max(nodes[cluster].lambda_death, lv)
 
     # Stability: each point contributes the density span it stayed a member;
     # points in child clusters leave at the child's birth density.

@@ -116,22 +116,29 @@ def read_ply_organized(path) -> OrganizedCloud:
         parts = line.split()
         if not parts:
             continue
-        if parts[0] == "comment" and len(parts) == 4 and parts[1] == "organized":
-            width, height = int(parts[2]), int(parts[3])
-        elif parts[0] == "format":
-            if parts[1] != "ascii":
-                raise InputError("only ASCII PLY is supported")
-        elif parts[0] == "element" and parts[1] == "vertex":
-            count = int(parts[2])
-        elif parts[0] == "property":
-            properties.append(parts[2])
-        elif parts[0] == "end_header":
-            body_start = i + 1
-            break
+        try:
+            if parts[0] == "comment" and len(parts) == 4 and parts[1] == "organized":
+                width, height = int(parts[2]), int(parts[3])
+            elif parts[0] == "format":
+                if parts[1] != "ascii":
+                    raise InputError("only ASCII PLY is supported")
+            elif parts[0] == "element" and parts[1] == "vertex":
+                count = int(parts[2])
+            elif parts[0] == "property":
+                properties.append(parts[2])
+            elif parts[0] == "end_header":
+                body_start = i + 1
+                break
+        except InputError:
+            raise
+        except (IndexError, ValueError) as exc:
+            raise InputError(f"bad PLY header line {i + 1}: {line!r}") from exc
     if body_start is None or width is None or count is None:
         raise InputError("PLY header missing organized comment or vertex element")
     if properties != ["x", "y", "z", "valid"]:
         raise InputError(f"unexpected PLY properties {properties}")
+    if width < 1 or height < 1:
+        raise InputError(f"organized grid {width}x{height} is empty")
     if count != width * height:
         raise InputError("vertex count does not match the organized grid")
     rows = [ln.split() for ln in lines[body_start:body_start + count]]
@@ -144,7 +151,10 @@ def read_ply_organized(path) -> OrganizedCloud:
     pts = arr[:, :3].reshape(height, width, 3)
     val = arr[:, 3].astype(bool).reshape(height, width)
     pts = np.where(val[..., None], pts, 0.0)
-    return OrganizedCloud(points=pts, valid=val)
+    try:
+        return OrganizedCloud(points=pts, valid=val)
+    except ValueError as exc:
+        raise InputError(f"bad PLY vertex data: {exc}") from exc
 
 
 def _read_file(path) -> bytes:
@@ -193,7 +203,7 @@ def truth_to_dict(entries: list[GroundTruthEntry],
 
 def truth_from_dict(data: dict) -> list[GroundTruthEntry]:
     try:
-        return [
+        entries = [
             GroundTruthEntry(
                 centroid_mm=np.asarray(b["centroid_mm"], dtype=float),
                 normal=np.asarray(b["normal"], dtype=float),
@@ -205,3 +215,6 @@ def truth_from_dict(data: dict) -> list[GroundTruthEntry]:
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad ground-truth document: {exc}") from exc
+    if any(e.centroid_mm.shape != (3,) or e.normal.shape != (3,) for e in entries):
+        raise InputError("bad ground-truth document: centroid_mm and normal need 3 numbers")
+    return entries

@@ -76,7 +76,6 @@ class PipelineConfig:
     # windows walk along a tilted face's residual sampling gradient in lattice
     # sized jumps that never drop below the convergence threshold.
     mean_shift_bandwidth_m: float = 0.2
-    match_radius_mm: float = DEFAULT_MATCH_RADIUS_MM
     seed: int = 0
     homography: Homography | None = None
 
@@ -109,7 +108,6 @@ class PipelineConfig:
             (c.merge_centroid_thresh_m > 0, "merge_centroid_thresh_m must be positive"),
             (c.merge_perp_thresh_m > 0, "merge_perp_thresh_m must be positive"),
             (c.mean_shift_bandwidth_m > 0, "mean_shift_bandwidth_m must be positive"),
-            (c.match_radius_mm > 0, "match_radius_mm must be positive"),
         ]
         if c.roi is not None:
             x, y, w, h = c.roi
@@ -134,24 +132,21 @@ def config_from_dict(data: dict) -> PipelineConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {}
-    for key, value in data.items():
-        if key == HOMOGRAPHY_JSON_KEY:
-            flat = np.asarray(value, dtype=float)
-            if flat.size != 9:
-                raise ConfigError(f"{HOMOGRAPHY_JSON_KEY} must hold 9 numbers")
-            try:
-                kwargs["homography"] = Homography(flat.reshape(3, 3))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        elif key == "roi":
-            kwargs["roi"] = None if value is None else tuple(int(v) for v in value)
-        else:
-            kwargs[key] = value
     try:
+        for key, value in data.items():
+            if key == HOMOGRAPHY_JSON_KEY:
+                flat = np.asarray(value, dtype=float)
+                if flat.size != 9:
+                    raise ConfigError(f"{HOMOGRAPHY_JSON_KEY} must hold 9 numbers")
+                kwargs["homography"] = Homography(flat.reshape(3, 3))
+            elif key == "roi":
+                kwargs["roi"] = None if value is None else tuple(int(v) for v in value)
+            else:
+                kwargs[key] = value
         return PipelineConfig(**kwargs).validate()
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
@@ -340,14 +335,20 @@ def verify_against_ground_truth(report: DetectionReport | dict,
     Pose-truth pairs pair off closest-first within the match radius; leftover
     truths count as misses, leftover poses as unmatched. Per-match errors are
     absolute per-axis translation (mm) and wrapped per-axis rotation (deg),
-    summarized by their means.
+    summarized by their means. A report whose poses are not a list of objects
+    with three ``centroid_mm`` and three ``euler_zyx_deg`` numbers each is an
+    InputError.
     """
     if isinstance(report, DetectionReport):
         report = report.to_dict()
-    pose_centroids = np.array([p["centroid_mm"] for p in report["poses"]],
-                              dtype=float).reshape(-1, 3)
-    pose_eulers = np.array([p["euler_zyx_deg"] for p in report["poses"]],
-                           dtype=float).reshape(-1, 3)
+    try:
+        poses = report["poses"]
+        pose_centroids = np.array([p["centroid_mm"] for p in poses],
+                                  dtype=float).reshape(len(poses), 3)
+        pose_eulers = np.array([p["euler_zyx_deg"] for p in poses],
+                               dtype=float).reshape(len(poses), 3)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad report poses: {exc!r}") from exc
     truth_centroids = np.array([t.centroid_mm for t in truth], dtype=float).reshape(-1, 3)
     truth_eulers = np.array([t.euler.as_tuple() for t in truth],
                             dtype=float).reshape(-1, 3)

@@ -71,14 +71,12 @@ class GrayImage:
 
 @dataclass
 class Contour:
-    """A closed boundary around one enclosed region of the edge map.
+    """One enclosed region of the edge map with its holes, and its nesting.
 
-    ``vertices`` is the ordered boundary polygon in (x, y) pixel coordinates.
     ``area`` counts the pixels of the filled polygon (interior holes included).
     ``filled_indices``/``shape`` cache the rasterization for mask generation.
     """
 
-    vertices: np.ndarray
     area: float
     parent_index: Optional[int] = None
     depth: int = 0
@@ -228,61 +226,6 @@ def auto_canny(img: GrayImage, sigma: float = DEFAULT_CANNY_SIGMA) -> np.ndarray
     return edges.reshape(h, w)
 
 
-# Clockwise Moore neighborhood, (dx, dy) with y pointing down.
-_MOORE_RING = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
-_MOORE_INDEX = {off: i for i, off in enumerate(_MOORE_RING)}
-
-
-def _trace_boundary(region: np.ndarray, start_yx: tuple[int, int]) -> np.ndarray:
-    """Moore boundary trace of a 4-connected region, clockwise, (x, y) vertices.
-
-    ``region`` must be padded so no region pixel touches the array border;
-    ``start_yx`` is the topmost-leftmost region pixel.
-    """
-    sy, sx = start_yx
-    cur = (sx, sy)
-    back = (sx, sy - 1)
-    vertices = [cur]
-    # The walk is deterministic in the (pixel, backtrack) state, so the first
-    # repeated state marks a completed cycle; anything before it is lead-in.
-    seen = {(cur, back): 0}
-    max_steps = 8 * int(region.sum()) + 8
-    for _ in range(max_steps):
-        bi = _MOORE_INDEX[(back[0] - cur[0], back[1] - cur[1])]
-        found = None
-        prev = back
-        for step in range(1, 9):
-            dx, dy = _MOORE_RING[(bi + step) % 8]
-            cand = (cur[0] + dx, cur[1] + dy)
-            if region[cand[1], cand[0]]:
-                found = cand
-                break
-            prev = cand
-        if found is None:
-            break  # isolated single pixel
-        cur, back = found, prev
-        state = (cur, back)
-        if state in seen:
-            vertices = vertices[seen[state]:]
-            break
-        seen[state] = len(vertices)
-        vertices.append(cur)
-    return np.array(vertices, dtype=np.int64)
-
-
-def _first_pixel(labels: np.ndarray, lab: int, bbox: tuple[slice, slice]) -> tuple[int, int]:
-    """Topmost-leftmost (y, x) pixel of label ``lab``: the first hit in its
-    bounding box's top row."""
-    y, cols = bbox[0].start, bbox[1]
-    return y, cols.start + int(np.argmax(labels[y, cols] == lab))
-
-
-def _pixels(labels: np.ndarray, lab: int, bbox: tuple[slice, slice]) -> np.ndarray:
-    """Raster-ordered flat indices of label ``lab``, scanned within its bounding box."""
-    ys, xs = np.nonzero(labels[bbox] == lab)
-    return (ys + bbox[0].start) * labels.shape[1] + (xs + bbox[1].start)
-
-
 def find_contours(edges: np.ndarray) -> list[Contour]:
     """Closed boundaries of the regions enclosed by the edge map, with nesting.
 
@@ -290,6 +233,10 @@ def find_contours(edges: np.ndarray) -> list[Contour]:
     Each 4-connected free-space component that does not touch the image border
     becomes one contour; nesting links a contour to the smallest enclosing one.
     Open chains that merely touch the border enclose nothing and are dropped.
+
+    A contour's filled polygon is its region plus the region's holes: the
+    8-connected components of the rest of its bounding box that do not reach
+    the box's outside (8-connected holes are the dual of 4-connected regions).
     """
     e = np.asarray(edges, dtype=bool)
     if e.size == 0 or not e.any():
@@ -305,93 +252,35 @@ def find_contours(edges: np.ndarray) -> list[Contour]:
     dilated[:-1] |= rows[1:]
 
     free_labels, n_free = ndimage.label(~dilated, structure=_FOUR_CONN)
-    stroke_labels, n_strokes = ndimage.label(dilated, structure=_EIGHT_CONN)
-
     outside = np.zeros(n_free + 1, dtype=bool)
     for edge in (free_labels[0], free_labels[-1], free_labels[:, 0], free_labels[:, -1]):
         outside[edge] = True
-    enclosed = [int(lab) for lab in np.flatnonzero(~outside[1:]) + 1]
-    if not enclosed:
+    enclosed = np.flatnonzero(~outside[1:]) + 1
+    if enclosed.size == 0:
         return []
+    boxes = ndimage.find_objects(free_labels)
 
-    free_boxes = ndimage.find_objects(free_labels)
-    stroke_boxes = ndimage.find_objects(stroke_labels)
-    free_first = {lab: _first_pixel(free_labels, lab, free_boxes[lab - 1])
-                  for lab in enclosed}
-
-    # The pixel directly above a component's topmost-leftmost pixel always
-    # belongs to the other class (or lies off-image), so it identifies the
-    # component's container: strokes sit inside free space, free regions sit
-    # inside strokes. Chaining the two gives each region's parent region.
-    stroke_container = {}  # stroke label -> free label (or -1 for image border)
-    for lab in range(1, n_strokes + 1):
-        y, x = _first_pixel(stroke_labels, lab, stroke_boxes[lab - 1])
-        stroke_container[lab] = int(free_labels[y - 1, x]) if y > 0 else -1
-
-    enclosed_set = set(enclosed)
-    region_parent = {}  # free label -> free label or None
-    for lab in enclosed:
-        y, x = free_first[lab]
-        parent = stroke_container[int(stroke_labels[y - 1, x])]
-        region_parent[lab] = parent if parent in enclosed_set else None
-
-    children_regions: dict[int, list[int]] = {lab: [] for lab in enclosed}
-    for lab in enclosed:
-        p = region_parent[lab]
-        if p is not None:
-            children_regions[p].append(lab)
-
-    strokes_in_region: dict[int, list[int]] = {lab: [] for lab in enclosed}
-    for stroke, container in stroke_container.items():
-        if container in strokes_in_region:
-            strokes_in_region[container].append(stroke)
-
-    # Filled polygon of a region = its own pixels plus everything nested below:
-    # descendant regions and the strokes they contain. A region's first raster
-    # pixel precedes its children's, so labels descend from children to
-    # parents and each child is filled first.
-    filled_of: dict[int, np.ndarray] = {}
-    for lab in reversed(enclosed):
-        parts = [_pixels(free_labels, lab, free_boxes[lab - 1])]
-        parts.extend(_pixels(stroke_labels, s, stroke_boxes[s - 1])
-                     for s in strokes_in_region[lab])
-        parts.extend(filled_of[c] for c in children_regions[lab])
-        filled_of[lab] = np.concatenate(parts) if len(parts) > 1 else parts[0]
-
-    # Trace each region boundary inside a padded window of its bounding box.
+    # Labels ascend in raster order of first pixels, so a container comes
+    # before what it holds, and filled polygons are nested or disjoint: the
+    # last contour painted over a region's first pixel is its parent.
+    owner = np.zeros(h * w, dtype=np.int32)  # contour index + 1, 0 for none
     contours: list[Contour] = []
-    index_of: dict[int, int] = {}
-    for lab in enclosed:  # enclosed is already in raster order of first pixel
-        sl = free_boxes[lab - 1]
-        local = np.pad(free_labels[sl] == lab, 1, mode="constant")
-        fy, fx = free_first[lab]
-        start = (fy - sl[0].start + 1, fx - sl[1].start + 1)
-        verts = _trace_boundary(local, start)
-        verts[:, 0] += sl[1].start - 1
-        verts[:, 1] += sl[0].start - 1
-        filled = np.sort(filled_of[lab])
-        index_of[lab] = len(contours)
+    for lab in enclosed:
+        ys, xs = boxes[lab - 1]
+        rest, _ = ndimage.label(np.pad(free_labels[ys, xs] != lab, 1, constant_values=True),
+                                structure=_EIGHT_CONN)
+        fy, fx = np.nonzero(rest[1:-1, 1:-1] != rest[0, 0])
+        filled = (fy + ys.start) * w + (fx + xs.start)
+        parent = int(owner[filled[0]]) - 1
+        owner[filled] = len(contours) + 1
         contours.append(Contour(
-            vertices=verts,
             area=float(filled.size),
-            parent_index=index_of.get(region_parent[lab]),  # parents come first
-            depth=0,
+            parent_index=parent if parent >= 0 else None,
+            depth=contours[parent].depth + 1 if parent >= 0 else 0,
             filled_indices=filled,
             shape=(h, w),
         ))
-    _assign_depths(contours)
     return contours
-
-
-def _assign_depths(contours: list[Contour]) -> None:
-    """Set each contour's depth to the number of its ancestors."""
-    for c in contours:
-        depth = 0
-        p = c.parent_index
-        while p is not None:
-            depth += 1
-            p = contours[p].parent_index
-        c.depth = depth
 
 
 def scaled_min_area(min_area_at_reference: float, width: int, height: int) -> float:
@@ -400,26 +289,27 @@ def scaled_min_area(min_area_at_reference: float, width: int, height: int) -> fl
 
 
 def refine_contours(contours: list[Contour], min_area: float = DEFAULT_MIN_CONTOUR_AREA) -> list[Contour]:
-    """Drop contours below the area threshold (boundary inclusive) and re-link parents."""
-    keep = [i for i, c in enumerate(contours) if c.area >= min_area]
-    keep_set = set(keep)
-    remap = {old: new for new, old in enumerate(keep)}
+    """Drop contours below the area threshold (boundary inclusive) and re-link parents.
+
+    Parents precede their children, so a kept parent's depth is set first.
+    """
+    remap = {old: new for new, old in
+             enumerate(i for i, c in enumerate(contours) if c.area >= min_area)}
 
     out: list[Contour] = []
-    for old in keep:
+    for old in remap:
         c = contours[old]
         parent = c.parent_index
-        while parent is not None and parent not in keep_set:
+        while parent is not None and parent not in remap:
             parent = contours[parent].parent_index
+        parent = remap.get(parent)
         out.append(Contour(
-            vertices=c.vertices,
             area=c.area,
-            parent_index=remap[parent] if parent is not None else None,
-            depth=0,
+            parent_index=parent,
+            depth=out[parent].depth + 1 if parent is not None else 0,
             filled_indices=c.filled_indices,
             shape=c.shape,
         ))
-    _assign_depths(out)
     return out
 
 

@@ -2,8 +2,7 @@
 
 Everything here is written the slow, obvious way on purpose: exhaustive
 pairwise distances, Kruskal over the full edge list, all 3-subsets for plane
-fitting. None of it shares code with the library paths it validates, except
-the boundary walk the contour reference takes as an argument.
+fitting. None of it shares code with the library paths it validates.
 """
 
 from __future__ import annotations
@@ -201,14 +200,16 @@ def canny(pixels: np.ndarray, sigma: float) -> np.ndarray:
     return np.isin(labels, strong_labels[strong_labels > 0])
 
 
-def contours(edges: np.ndarray, trace_boundary) -> list[tuple]:
+def contours(edges: np.ndarray) -> list[tuple]:
     """Nested contours of an edge map, scanning the full frame for every lookup.
 
-    Returns (vertices, filled_indices, parent_index, depth) per enclosed
-    free-space region in raster order of its first pixel. First pixels come
-    from ``np.unique`` over the whole label image and pixel lists from
-    whole-frame comparisons. ``trace_boundary(region, start_yx)`` walks one
-    region's boundary; it runs here on a padded full-frame bitmap.
+    Returns (filled_indices, parent_index, depth) per enclosed free-space
+    region in raster order of its first pixel. First pixels come from
+    ``np.unique`` over the whole label image and pixel lists from whole-frame
+    comparisons. Nesting chains containers: the pixel above a component's
+    first pixel belongs to what surrounds it, so a region sits in a stroke
+    and a stroke in a region. A filled polygon is the region, the strokes it
+    holds and its children's filled polygons.
     """
     h, w = edges.shape
     dilated = ndimage.binary_dilation(edges, structure=np.ones((3, 3), dtype=bool))
@@ -243,12 +244,10 @@ def contours(edges: np.ndarray, trace_boundary) -> list[tuple]:
 
     out = []
     for lab in enclosed:
-        y, x = divmod(free_first[lab], w)
-        verts = trace_boundary(np.pad(free == lab, 1), (y + 1, x + 1)) - 1
         depth, p = 0, parent[lab]
         while p is not None:
             depth, p = depth + 1, parent[p]
-        out.append((verts, np.sort(filled(lab)),
+        out.append((np.sort(filled(lab)),
                     enclosed.index(parent[lab]) if parent[lab] is not None else None,
                     depth))
     return out

@@ -434,6 +434,52 @@ class TestCli:
             assert out.returncode == 2, (args[0], out.stderr)
             assert "3x3" in out.stderr
 
+    @pytest.mark.parametrize("comment, fmt, vertex", [
+        ("comment organized 2 x", "format ascii 1.0", "0 0 1 1"),
+        ("comment organized 1 1", "format", "0 0 1 1"),
+        ("comment organized 1 1", "format ascii 1.0", "0 nan 1 1"),
+        ("comment organized 0 0", "format ascii 1.0", ""),
+    ], ids=["bad-grid-size", "bare-format", "valid-nan-point", "empty-grid"])
+    def test_malformed_ply_is_input_error(self, workdir, tmp_path, comment, fmt, vertex):
+        count = 0 if comment.endswith(" 0 0") else 1
+        (tmp_path / "bad.ply").write_text("\n".join([
+            "ply", fmt, comment, f"element vertex {count}", "property float x",
+            "property float y", "property float z", "property uchar valid",
+            "end_header", vertex]) + "\n")
+        (tmp_path / "mask_parent.pgm").write_bytes(b"P5\n3 3\n255\n" + bytes([255] * 9))
+        out = run_cli("localize", str(tmp_path / "bad.ply"),
+                      str(tmp_path / "mask_parent.pgm"),
+                      "--config", str(workdir / "config.json"))
+        assert out.returncode == 2, out.stderr
+        assert "input error" in out.stderr
+
+    @pytest.mark.parametrize("override", [
+        {"rgb_to_depth_homography": "abc"},
+        {"roi": ["a", 1, 1, 1]},
+    ], ids=["homography-string", "roi-string"])
+    def test_unconvertible_config_value_is_config_error(self, workdir, tmp_path, override):
+        config = json.loads((workdir / "config.json").read_text())
+        write_json(tmp_path / "config.json", {**config, **override})
+        out = run_cli("segment", str(workdir / "data" / "image.pgm"),
+                      "--config", str(tmp_path / "config.json"),
+                      "--out", str(tmp_path / "masks"))
+        assert out.returncode == 3, out.stderr
+        assert "config error" in out.stderr
+
+    @pytest.mark.parametrize("report, truth_centroid", [
+        ({"poses": 5}, [0, 0, 1000]),
+        ({"poses": [{"centroid_mm": [0, 0], "euler_zyx_deg": [0, 0, 0]}]}, [0, 0, 1000]),
+        ({"poses": []}, [0, 0]),
+    ], ids=["poses-not-a-list", "two-number-centroid", "two-number-truth-centroid"])
+    def test_malformed_verify_input_is_input_error(self, tmp_path, report, truth_centroid):
+        write_json(tmp_path / "report.json", report)
+        write_json(tmp_path / "truth.json", {"boxes": [{
+            "centroid_mm": truth_centroid, "normal": [0, 0, -1],
+            "euler_zyx_deg": [0, 0, 0]}]})
+        out = run_cli("verify", str(tmp_path / "report.json"), str(tmp_path / "truth.json"))
+        assert out.returncode == 2, out.stderr
+        assert "input error" in out.stderr
+
     def test_missing_calibration_is_config_error(self, workdir):
         write_json(workdir / "empty_config.json", {})
         out = run_cli("pipeline", str(workdir / "data" / "image.pgm"),

@@ -19,7 +19,6 @@ from binpick.segmentation import (
     refine_contours,
     scaled_min_area,
     sobel_gradients,
-    _trace_boundary,
 )
 
 from . import oracles
@@ -199,26 +198,6 @@ class TestFindContours:
         assert inner.depth == 1
         assert contours[inner.parent_index] is outer
 
-    def test_nested_vertices_inside_parent_filled_polygon(self):
-        e = ring_bitmap(28, 28, 2, 25, 2, 25) | ring_bitmap(28, 28, 10, 17, 10, 17)
-        contours = find_contours(e)
-        outer = max(contours, key=lambda c: c.area)
-        inner = min(contours, key=lambda c: c.area)
-        h, w = outer.shape
-        filled = np.zeros(h * w, dtype=bool)
-        filled[outer.filled_indices] = True
-        for x, y in inner.vertices:
-            assert filled[y * w + x]
-
-    def test_vertices_form_closed_eight_connected_loop(self):
-        e = ring_bitmap(20, 20, 3, 16, 3, 16)
-        c = find_contours(e)[0]
-        verts = c.vertices
-        assert len(verts) >= 4
-        loop = np.vstack([verts, verts[:1]])
-        steps = np.abs(np.diff(loop, axis=0)).max(axis=1)
-        assert (steps == 1).all()
-
     def test_open_chain_touching_border_yields_nothing(self):
         e = np.zeros((20, 20), dtype=bool)
         e[0:15, 10] = True  # open chain from the border into the image
@@ -249,10 +228,9 @@ class TestFindContours:
 
 def _assert_matches_reference(edges):
     got = find_contours(edges)
-    want = oracles.contours(edges, _trace_boundary)
+    want = oracles.contours(edges)
     assert len(got) == len(want)
-    for c, (verts, filled, parent, depth) in zip(got, want):
-        assert np.array_equal(c.vertices, verts)
+    for c, (filled, parent, depth) in zip(got, want):
         assert np.array_equal(c.filled_indices, filled)
         assert c.parent_index == parent and c.depth == depth
         assert c.area == filled.size
@@ -283,6 +261,34 @@ class TestFindContoursAgainstFullFrameReference:
         e |= ring_bitmap(50, 50, 24, 32, 20, 30)
         _assert_matches_reference(e)
 
+    def test_holes_are_eight_connected(self):
+        # Parts of the rest of this region's box meet its outside only at a
+        # corner. A hole is an 8-connected component of the rest, so those
+        # parts are not holes: the filled polygon holds 34 pixels, where a
+        # 4-connected labelling of the rest would fill 43.
+        e = np.array([[c == "#" for c in row] for row in (
+            "..#................",
+            ".............#.....",
+            "...#.#......#......",
+            "................#..",
+            ".......#.........##",
+            "...................",
+            ".#................#",
+            "....#..#.#..#..#...",
+            "...................",
+            "..#.............#..",
+            "...#...............",
+            "...#.............#.",
+            "...#...#...#.......",
+            "...#.......#.#.....",
+            "..............#....",
+            "....#..............",
+            ".......##......#...",
+        )])
+        assert e.shape == (17, 19)
+        _assert_matches_reference(e)
+        assert [c.area for c in find_contours(e)] == [34]
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_rings=st.integers(0, 6),
            density=st.floats(0.0, 0.03))
@@ -299,7 +305,7 @@ class TestFindContoursAgainstFullFrameReference:
 
 class TestRefineContours:
     def _contour(self, area):
-        return Contour(vertices=np.zeros((1, 2), dtype=np.int64), area=area)
+        return Contour(area=area)
 
     def test_threshold_boundary(self):
         kept = refine_contours([self._contour(2499)], min_area=2500)
