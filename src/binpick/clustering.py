@@ -86,34 +86,41 @@ def mutual_reachability_mst(points: np.ndarray, min_samples: int
 
     d_mreach(a, b) = max(core(a), core(b), |a - b|). Prim's algorithm with the
     row of the newly added vertex computed on the fly; argmin tie-breaks pick
-    the lowest point index. Returns (edges (n-1, 2), weights (n-1,)).
+    the lowest point index. A vertex's core distance is retired to inf when it
+    joins the tree, so its row entries can never undercut a frontier weight.
+    Returns (edges (n-1, 2), weights (n-1,)).
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     n = len(pts)
-    core = core_distances(pts, min_samples)
-
-    def mreach_row(j: int) -> np.ndarray:
-        d = np.linalg.norm(pts - pts[j], axis=1)
-        return np.maximum(np.maximum(core, core[j]), d)
-
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best = mreach_row(0)
-    best[0] = np.inf
+    core = core_distances(pts, min_samples).copy()
+    coords = np.ascontiguousarray(pts.T)
+    diff = np.empty((3, n))
+    row = np.empty(n)
+    upd = np.empty(n, dtype=bool)
+    best = np.full(n, np.inf)
     src = np.zeros(n, dtype=np.int64)
 
     edges = np.empty((n - 1, 2), dtype=np.int64)
     weights = np.empty(n - 1)
+    j = 0
     for step in range(n - 1):
-        j = int(np.argmin(best))
-        edges[step] = (src[j], j)
-        weights[step] = best[j]
-        in_tree[j] = True
-        best[j] = np.inf
-        row = mreach_row(j)
-        upd = ~in_tree & (row < best)
-        best[upd] = row[upd]
+        core_j = core[j]
+        core[j] = np.inf
+        np.subtract(coords, coords[:, j:j + 1], out=diff)
+        np.square(diff, out=diff)
+        np.add.reduce(diff, axis=0, out=row)
+        np.sqrt(row, out=row)
+        np.maximum(row, core, out=row)
+        np.maximum(row, core_j, out=row)
+        np.less(row, best, out=upd)
+        np.minimum(row, best, out=best)
         src[upd] = j
+        j = int(best.argmin())
+        edges[step, 1] = j
+        weights[step] = best[j]
+        best[j] = np.inf
+    # a tree vertex's src never changes again, so it still names its parent
+    edges[:, 0] = src[edges[:, 1]]
     return edges, weights
 
 
@@ -125,29 +132,24 @@ def _single_linkage(edges: np.ndarray, weights: np.ndarray, n: int
     with the Prim discovery order as a stable tie-break.
     """
     order = np.argsort(weights, kind="stable")
-    uf_parent = np.arange(2 * n - 1, dtype=np.int64)
-    current_node = np.arange(2 * n - 1, dtype=np.int64)
-    sizes = np.ones(2 * n - 1, dtype=np.int64)
-
-    def find(a: int) -> int:
+    uf_parent = list(range(n))
+    current_node = list(range(n))
+    sizes = [1] * (2 * n - 1)
+    children = []
+    for step, (a, b) in enumerate(edges[order].tolist()):
         while uf_parent[a] != a:
             uf_parent[a] = uf_parent[uf_parent[a]]
             a = uf_parent[a]
-        return a
-
-    children = np.empty((n - 1, 2), dtype=np.int64)
-    distances = np.empty(n - 1)
-    for step, e in enumerate(order):
-        a, b = edges[e]
-        ra, rb = find(int(a)), find(int(b))
-        na, nb = current_node[ra], current_node[rb]
-        new = n + step
-        children[step] = (na, nb)
-        distances[step] = weights[e]
-        sizes[new] = sizes[na] + sizes[nb]
-        uf_parent[rb] = ra
-        current_node[ra] = new
-    return children, distances, sizes
+        while uf_parent[b] != b:
+            uf_parent[b] = uf_parent[uf_parent[b]]
+            b = uf_parent[b]
+        na, nb = current_node[a], current_node[b]
+        children.append((na, nb))
+        sizes[n + step] = sizes[na] + sizes[nb]
+        uf_parent[b] = a
+        current_node[a] = n + step
+    return (np.array(children, dtype=np.int64).reshape(n - 1, 2), weights[order],
+            np.array(sizes, dtype=np.int64))
 
 
 def _condense(children: np.ndarray, distances: np.ndarray, sizes: np.ndarray,
@@ -160,13 +162,16 @@ def _condense(children: np.ndarray, distances: np.ndarray, sizes: np.ndarray,
     """
     root_dendro = 2 * n - 2
     lam = np.where(distances > _MIN_DISTANCE, 1.0 / np.maximum(distances, _MIN_DISTANCE),
-                   1.0 / _MIN_DISTANCE)
+                   1.0 / _MIN_DISTANCE).tolist()
+    # Python lists: the walk below reads one element at a time
+    merged = children.tolist()
+    sizes = sizes.tolist()
 
     nodes: dict[int, CondensedNode] = {
         0: CondensedNode(0, None, 0.0, n, 0.0)
     }
-    point_cluster = np.zeros(n, dtype=np.int64)
-    point_lambda = np.zeros(n)
+    point_cluster = [0] * n
+    point_lambda = [0.0] * n
     next_id = 1
 
     def leaves_of(node: int) -> list[int]:
@@ -176,7 +181,7 @@ def _condense(children: np.ndarray, distances: np.ndarray, sizes: np.ndarray,
             if v < n:
                 out.append(v)
             else:
-                stack.extend(children[v - n])
+                stack.extend(merged[v - n])
         return out
 
     # (dendrogram node, condensed cluster it belongs to)
@@ -187,10 +192,10 @@ def _condense(children: np.ndarray, distances: np.ndarray, sizes: np.ndarray,
             # A cluster reduced to a single point: it departs at its merge density,
             # already recorded by the parent split below.
             continue
-        left, right = (int(v) for v in children[node - n])
-        lv = float(lam[node - n])
-        ls = int(sizes[left])
-        rs = int(sizes[right])
+        left, right = merged[node - n]
+        lv = lam[node - n]
+        ls = sizes[left]
+        rs = sizes[right]
 
         if ls >= min_cluster_size and rs >= min_cluster_size:
             for child, size in ((left, ls), (right, rs)):
@@ -210,15 +215,16 @@ def _condense(children: np.ndarray, distances: np.ndarray, sizes: np.ndarray,
 
     # Stability: each point contributes the density span it stayed a member;
     # points in child clusters leave at the child's birth density.
-    for p in range(n):
-        c = nodes[point_cluster[p]]
-        c.stability += point_lambda[p] - c.lambda_birth
+    for cid, lp in zip(point_cluster, point_lambda):
+        c = nodes[cid]
+        c.stability += lp - c.lambda_birth
     for node in nodes.values():
         if node.parent_id is not None:
             nodes[node.parent_id].stability += node.size * (
                 node.lambda_birth - nodes[node.parent_id].lambda_birth)
 
-    return CondensedTree(nodes=nodes, selected=[], point_cluster=point_cluster)
+    return CondensedTree(nodes=nodes, selected=[],
+                         point_cluster=np.array(point_cluster, dtype=np.int64))
 
 
 def _select_clusters(tree: CondensedTree) -> list[int]:

@@ -12,7 +12,6 @@ of evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -85,13 +84,15 @@ def voxel_grid_downsample(points: np.ndarray, leaf: float) -> np.ndarray:
     if len(pts) == 0:
         return pts.copy()
     keys = np.floor(pts / leaf).astype(np.int64)
-    # unique(axis=0) sorts rows lexicographically; feed (z, y, x) for z-major order
-    _, inverse = np.unique(keys[:, ::-1], axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    n_voxels = int(inverse.max()) + 1
-    sums = np.zeros((n_voxels, 3))
-    np.add.at(sums, inverse, pts)
-    counts = np.bincount(inverse, minlength=n_voxels).astype(float)
+    order = np.lexsort(keys.T)  # last key (z) is the primary one
+    ordered = keys[order]
+    starts = np.ones(len(pts), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(pts), dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    # bincount adds each voxel's points in input order, so no sum depends on the sort
+    counts = np.bincount(inverse).astype(float)
+    sums = np.column_stack([np.bincount(inverse, weights=pts[:, c]) for c in range(3)])
     return sums / counts[:, None]
 
 
@@ -128,14 +129,19 @@ def _padded_neighborhoods(tree: cKDTree, points: np.ndarray, radius: float,
     ascending order, and an (m, kmax) mask of the slots that hold a neighbor
     (padding slots hold index 0).
     """
-    neighborhoods = tree.query_ball_point(points, r=radius)
-    counts = np.fromiter(map(len, neighborhoods), dtype=np.int64,
-                         count=len(neighborhoods))
-    rows = np.flatnonzero(counts >= min_count)
+    n = len(points)
+    pairs = tree.query_pairs(radius, output_type="ndarray")
+    # owner * n + member, both directions of each pair plus the point itself:
+    # sorting the key orders members ascending within each owner
+    key = np.sort(np.concatenate([pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0],
+                                  np.arange(n, dtype=np.int64) * (n + 1)]))
+    owner, member = np.divmod(key, n)
+    counts = np.bincount(owner, minlength=n)
+    qualifies = counts >= min_count
+    rows = np.flatnonzero(qualifies)
     present = np.arange(counts[rows].max(initial=0)) < counts[rows, None]
     index = np.zeros(present.shape, dtype=np.int64)
-    index[present] = np.fromiter(chain.from_iterable(neighborhoods[rows]),
-                                 dtype=np.int64, count=int(counts[rows].sum()))
+    index[present] = member[qualifies[owner]]
     return rows, index, present
 
 

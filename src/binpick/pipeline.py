@@ -85,7 +85,7 @@ class PipelineConfig:
             value = getattr(c, name)
             if value is None and optional:
                 continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise ConfigError(f"{name} must be an integer, not {value!r}")
         checks = [
             (c.canny_sigma > 0, "canny_sigma must be positive"),
@@ -110,6 +110,8 @@ class PipelineConfig:
             (c.mean_shift_bandwidth_m > 0, "mean_shift_bandwidth_m must be positive"),
         ]
         if c.roi is not None:
+            if len(c.roi) != 4 or not all(_is_integer(v) for v in c.roi):
+                raise ConfigError(f"roi must be four integers (x, y, w, h), not {list(c.roi)!r}")
             x, y, w, h = c.roi
             checks.append((w > 0 and h > 0 and x >= 0 and y >= 0,
                            "roi must be (x, y, w, h) with positive size"))
@@ -117,6 +119,10 @@ class PipelineConfig:
             if not ok:
                 raise ConfigError(message)
         return self
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 _CONFIG_FIELDS = {f.name for f in dataclass_fields(PipelineConfig)} - {"homography"}
@@ -140,7 +146,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
                     raise ConfigError(f"{HOMOGRAPHY_JSON_KEY} must hold 9 numbers")
                 kwargs["homography"] = Homography(flat.reshape(3, 3))
             elif key == "roi":
-                kwargs["roi"] = None if value is None else tuple(int(v) for v in value)
+                kwargs["roi"] = None if value is None else tuple(value)
             else:
                 kwargs[key] = value
         return PipelineConfig(**kwargs).validate()

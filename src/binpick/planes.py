@@ -82,24 +82,25 @@ def ransac_plane(points: np.ndarray, dist_thresh: float = DEFAULT_RANSAC_DIST_TH
         raise ValueError("degenerate input: points are collinear")
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    best_count = 0
-    best_inliers = None
-    for _ in range(max_iter):
-        i, j, k = rng.choice(n, size=3, replace=False)
-        v1 = pts[j] - pts[i]
-        v2 = pts[k] - pts[i]
-        nrm = np.cross(v1, v2)
-        mag = np.linalg.norm(nrm)
-        if mag < 1e-12 * max(np.linalg.norm(v1) * np.linalg.norm(v2), 1e-300):
-            continue
-        nrm = nrm / mag
-        dist = np.abs(pts @ nrm - nrm @ pts[i])
-        count = int((dist <= dist_thresh).sum())
-        if count > best_count:
-            best_count = count
-            best_inliers = dist <= dist_thresh
-
-    if best_inliers is None:  # every sampled triple was collinear; fall back
+    triples = np.array([rng.choice(n, size=3, replace=False) for _ in range(max_iter)],
+                       dtype=np.int64).reshape(-1, 3)
+    p0 = pts[triples[:, 0]]
+    v1 = pts[triples[:, 1]] - p0
+    v2 = pts[triples[:, 2]] - p0
+    nrm = np.cross(v1, v2)
+    mag = np.linalg.norm(nrm, axis=1)
+    ok = mag >= 1e-12 * np.maximum(np.linalg.norm(v1, axis=1) * np.linalg.norm(v2, axis=1),
+                                   1e-300)
+    nrm = nrm[ok] / mag[ok, None]
+    # One product scores every hypothesis; argmax keeps the first best, as a
+    # sequential scan with a strict improvement test would.
+    dist = pts @ nrm.T
+    dist -= np.einsum("hi,hi->h", nrm, p0[ok])
+    hits = np.abs(dist, out=dist) <= dist_thresh
+    counts = hits.sum(0)
+    if counts.max(initial=0) > 0:
+        best_inliers = hits[:, int(counts.argmax())]
+    else:  # every sampled triple was collinear; fall back
         best_inliers = np.ones(n, dtype=bool)
 
     model = fit_plane_pca(pts[best_inliers])

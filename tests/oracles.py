@@ -3,6 +3,11 @@
 Everything here is written the slow, obvious way on purpose: exhaustive
 pairwise distances, Kruskal over the full edge list, all 3-subsets for plane
 fitting. None of it shares code with the library paths it validates.
+
+The step-by-step references (``prim_mst``, ``single_linkage``,
+``radius_neighborhoods``, ``voxel_centroids``, ``ransac_loop``) are the
+point layer's earlier per-element formulations, kept so that the batched
+versions can be checked against them value for value.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import itertools
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 
 def brute_knn(points: np.ndarray, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -251,3 +257,112 @@ def contours(edges: np.ndarray) -> list[tuple]:
                     enclosed.index(parent[lab]) if parent[lab] is not None else None,
                     depth))
     return out
+
+
+def prim_mst(points: np.ndarray, core: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prim over mutual-reachability rows, one vertex per step: an in-tree
+    mask, lowest-index argmin and a strict improvement test. Returns the
+    edges (source, joined vertex) in join order and their weights."""
+    n = len(points)
+
+    def row(j):
+        d = np.linalg.norm(points - points[j], axis=1)
+        return np.maximum(np.maximum(core, core[j]), d)
+
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    best = row(0)
+    best[0] = np.inf
+    src = np.zeros(n, dtype=np.int64)
+    edges = np.empty((n - 1, 2), dtype=np.int64)
+    weights = np.empty(n - 1)
+    for step in range(n - 1):
+        j = int(np.argmin(best))
+        edges[step] = (src[j], j)
+        weights[step] = best[j]
+        in_tree[j] = True
+        best[j] = np.inf
+        r = row(j)
+        upd = ~in_tree & (r < best)
+        best[upd] = r[upd]
+        src[upd] = j
+    return edges, weights
+
+
+def single_linkage(edges: np.ndarray, weights: np.ndarray, n: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dendrogram (children, distances, sizes) by union-find over the edges
+    in stable ascending weight order, on numpy arrays."""
+    order = np.argsort(weights, kind="stable")
+    parent = np.arange(n)
+    current = np.arange(n)
+    sizes = np.ones(2 * n - 1, dtype=np.int64)
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    children = np.empty((n - 1, 2), dtype=np.int64)
+    distances = np.empty(n - 1)
+    for step, e in enumerate(order):
+        ra, rb = find(int(edges[e, 0])), find(int(edges[e, 1]))
+        children[step] = (current[ra], current[rb])
+        distances[step] = weights[e]
+        sizes[n + step] = sizes[current[ra]] + sizes[current[rb]]
+        parent[rb] = ra
+        current[ra] = n + step
+    return children, distances, sizes
+
+
+def radius_neighborhoods(points: np.ndarray, radius: float, min_count: int
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, index, present) from one ball query per point, as lists."""
+    neighborhoods = cKDTree(points).query_ball_point(points, r=radius)
+    for nb in neighborhoods:
+        nb.sort()
+    counts = np.array([len(nb) for nb in neighborhoods], dtype=np.int64)
+    rows = np.flatnonzero(counts >= min_count)
+    present = np.arange(counts[rows].max(initial=0)) < counts[rows, None]
+    index = np.zeros(present.shape, dtype=np.int64)
+    index[present] = np.fromiter(itertools.chain.from_iterable(neighborhoods[i] for i in rows),
+                                 dtype=np.int64, count=int(counts[rows].sum()))
+    return rows, index, present
+
+
+def voxel_centroids(points: np.ndarray, leaf: float) -> np.ndarray:
+    """Per-voxel centroids in z-major key order via unique rows and add.at."""
+    keys = np.floor(points / leaf).astype(np.int64)
+    _, inverse = np.unique(keys[:, ::-1], axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    sums = np.zeros((int(inverse.max()) + 1, 3))
+    np.add.at(sums, inverse, points)
+    return sums / np.bincount(inverse).astype(float)[:, None]
+
+
+def ransac_loop(points: np.ndarray, dist_thresh: float, max_iter: int,
+                rng: np.random.Generator):
+    """Score one sampled plane at a time and keep the first best.
+
+    Returns (consensus mask, unit normal, offset) of the winning hypothesis,
+    or None when every sampled triple was degenerate.
+    """
+    n = len(points)
+    best = None
+    best_count = 0
+    for _ in range(max_iter):
+        i, j, k = rng.choice(n, size=3, replace=False)
+        v1 = points[j] - points[i]
+        v2 = points[k] - points[i]
+        nrm = np.cross(v1, v2)
+        mag = np.linalg.norm(nrm)
+        if mag < 1e-12 * max(np.linalg.norm(v1) * np.linalg.norm(v2), 1e-300):
+            continue
+        nrm = nrm / mag
+        offset = nrm @ points[i]
+        hits = np.abs(points @ nrm - offset) <= dist_thresh
+        if int(hits.sum()) > best_count:
+            best_count = int(hits.sum())
+            best = (hits, nrm, offset)
+    return best

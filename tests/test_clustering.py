@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from binpick import clustering
 from binpick.clustering import (
     ClusterLabels,
     condensed_tree,
@@ -9,6 +11,7 @@ from binpick.clustering import (
     mutual_reachability_mst,
 )
 
+from . import oracles
 from .oracles import (
     components_under_cut,
     kruskal_mst_weights,
@@ -175,3 +178,65 @@ class TestCondensedTree:
         assert root.size == 70
         child_sizes = sorted(tree.nodes[c].size for c in root.children)
         assert child_sizes == [35, 35]
+
+
+@st.composite
+def tie_heavy_points(draw):
+    """Points on a coarse grid (many equal distances and core distances) or
+    random points with repeated rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 90))
+    scale = draw(st.sampled_from([1.0, 0.01, 0.003, 1e-6, 250.0]))
+    if draw(st.booleans()):
+        pts = rng.integers(0, draw(st.integers(1, 5)) + 1, size=(n, 3)) * scale
+    else:
+        base = rng.uniform(-1, 1, size=(draw(st.integers(2, n)), 3)) * scale
+        pts = base[rng.integers(0, len(base), size=n)]
+    return pts.astype(float)
+
+
+def reference_labels(pts, min_cluster_size):
+    """hdbscan labels with the step-by-step Prim and union-find in place."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering, "mutual_reachability_mst",
+                   lambda p, k: oracles.prim_mst(p, core_distances(p, k)))
+        mp.setattr(clustering, "_single_linkage", oracles.single_linkage)
+        return hdbscan(pts, min_cluster_size).labels
+
+
+class TestAgainstStepReference:
+    """Prim over retired core distances and list union-find give exactly the
+    per-step reference's edges, weights, dendrogram and labels."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pts=tie_heavy_points(), data=st.data())
+    def test_mst_edges_and_weights(self, pts, data):
+        k = data.draw(st.integers(1, min(10, len(pts) - 1)))
+        edges, weights = mutual_reachability_mst(pts, k)
+        ref_edges, ref_weights = oracles.prim_mst(pts, core_distances(pts, k))
+        assert np.array_equal(edges, ref_edges)
+        assert np.array_equal(weights, ref_weights)
+        for got, ref in zip(clustering._single_linkage(edges, weights, len(pts)),
+                            oracles.single_linkage(ref_edges, ref_weights, len(pts))):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pts=tie_heavy_points(), data=st.data())
+    def test_hdbscan_labels(self, pts, data):
+        min_cluster_size = data.draw(st.integers(2, 15))
+        assert np.array_equal(hdbscan(pts, min_cluster_size).labels,
+                              reference_labels(pts, min_cluster_size))
+
+    def test_duplicate_blocks_and_spread_points(self):
+        # 40 and 35 coincident points have zero core distance: their merge
+        # densities take the _MIN_DISTANCE guard
+        rng = np.random.default_rng(13)
+        pts = np.vstack([np.full((40, 3), 0.2),
+                         rng.uniform(-0.02, 0.02, size=(60, 3)) + [1.0, 0, 0],
+                         np.full((35, 3), -0.7)])
+        labels = hdbscan(pts, min_cluster_size=30).labels
+        assert np.array_equal(labels, reference_labels(pts, 30))
+        assert sorted(np.bincount(labels[labels >= 0]).tolist()) == [35, 40, 60]
+        for block in (slice(0, 40), slice(40, 100), slice(100, 135)):
+            assert len(set(labels[block].tolist())) == 1

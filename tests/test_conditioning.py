@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from binpick.conditioning import (
     NeighborIndex,
+    _padded_neighborhoods,
     compute_normal_field,
     don_filter,
     estimate_normal,
@@ -12,6 +15,7 @@ from binpick.conditioning import (
 )
 from binpick.errors import DegenerateNeighborhoodError, InsufficientNeighborsError
 
+from . import oracles
 from .oracles import brute_knn, brute_radius, lsq_plane, weighted_poly2_height_fit
 
 
@@ -290,3 +294,79 @@ class TestDonFilter:
         for arr in (field.n_small, field.n_large):
             norms = np.linalg.norm(arr[field.defined], axis=1)
             assert np.abs(norms - 1).max() < 1e-9
+
+
+def assert_same_arrays(got, ref):
+    for g, r in zip(got, ref, strict=True):
+        assert g.dtype == r.dtype
+        assert np.array_equal(g, r)
+
+
+class TestPaddedNeighborhoods:
+    """Neighborhoods from one pair query equal one ball query per point."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(*[st.integers(1, 6)] * 3),
+           pitch=st.sampled_from([1.0, 0.5, 0.25, 0.1, 0.04, 0.003]),
+           squared=st.sampled_from([1, 2, 3, 4, 5, 8, 9]), min_count=st.integers(1, 8))
+    def test_lattice_radii_on_lattice_distances(self, seed, shape, pitch, squared,
+                                                min_count):
+        rng = np.random.default_rng(seed)
+        grid = np.indices(shape).reshape(3, -1).T * pitch
+        pts = grid[rng.random(len(grid)) < 0.7]
+        if len(pts) == 0:
+            pts = grid[:1]
+        radius = pitch * np.sqrt(squared)
+        got = _padded_neighborhoods(cKDTree(pts), pts, radius, min_count)
+        assert_same_arrays(got, oracles.radius_neighborhoods(pts, radius, min_count))
+
+    def test_rows_match_brute_force(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            pts = rng.uniform(-1, 1, size=(int(rng.integers(1, 300)), 3))
+            radius = float(rng.uniform(0.05, 0.6))
+            min_count = int(rng.integers(1, 6))
+            rows, index, present = _padded_neighborhoods(cKDTree(pts), pts, radius, min_count)
+            brute = [brute_radius(pts, p, radius) for p in pts]
+            assert rows.tolist() == [i for i, b in enumerate(brute) if len(b) >= min_count]
+            for row, idx, mask in zip(rows, index, present):
+                assert np.array_equal(idx[mask], brute[row])
+                assert not idx[~mask].any()
+
+    def test_no_row_qualifies(self):
+        pts = np.arange(12.0).reshape(4, 3)
+        rows, index, present = _padded_neighborhoods(cKDTree(pts), pts, 0.5, 2)
+        assert rows.shape == (0,)
+        assert index.shape == present.shape == (0, 0)
+        field = compute_normal_field(pts, 0.5, 1.0)
+        assert not field.defined.any()
+
+
+class TestVoxelGridAgainstReference:
+    """Sort-based voxel groups equal unique rows plus add.at, value for value."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+           center=st.floats(-1e6, 1e6), spread=st.sampled_from([1e-3, 1.0, 1e3, 1e6]),
+           leaf=st.sampled_from([1e-9, 1e-6, 0.003, 0.5, 7.0]),
+           repeats=st.booleans())
+    def test_matches_unique_rows_reference(self, seed, n, center, spread, leaf, repeats):
+        rng = np.random.default_rng(seed)
+        pts = center + rng.uniform(-spread, spread, size=(n, 3))
+        if repeats:
+            pts = pts[rng.integers(0, n, size=n)]
+        got = voxel_grid_downsample(pts, leaf)
+        ref = oracles.voxel_centroids(pts, leaf)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+    def test_huge_key_span(self):
+        # keys span about 2e15 voxels with negative coordinates
+        pts = np.array([[-1e6, 3.0, -2.5], [1e6, -3.0, 2.5], [-1e6, 3.0, -2.5]])
+        got = voxel_grid_downsample(pts, 1e-9)
+        assert np.array_equal(got, oracles.voxel_centroids(pts, 1e-9))
+        assert np.array_equal(got, pts[[0, 1]])
+
+    def test_single_point(self):
+        pts = np.array([[-0.123, 4.5, 1e-7]])
+        assert np.array_equal(voxel_grid_downsample(pts, 0.01), pts)

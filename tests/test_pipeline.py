@@ -425,6 +425,16 @@ class TestCli:
                 assert out.returncode == 3, (roi, args[0], out.stderr)
                 assert "roi" in out.stderr
 
+    def test_roi_values_not_integers_is_config_error(self, workdir):
+        config = json.loads((workdir / "config.json").read_text())
+        for roi in ([1.9, 2, 100.7, 100], [True, 2, 100, 100]):
+            write_json(workdir / "roi_config.json", {**config, "roi": roi})
+            out = run_cli("pipeline", str(workdir / "data" / "image.pgm"),
+                          str(workdir / "data" / "cloud.ply"),
+                          "--config", str(workdir / "roi_config.json"))
+            assert out.returncode == 3, (roi, out.stderr)
+            assert "roi must be four integers" in out.stderr
+
     def test_image_under_3x3_is_input_error(self, workdir):
         (workdir / "tiny.pgm").write_bytes(b"P5\n2 2\n255\nabcd")
         image = str(workdir / "tiny.pgm")

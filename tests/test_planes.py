@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from binpick.core import plane_signed_distances
 from binpick.planes import (
@@ -12,6 +15,7 @@ from binpick.planes import (
     ransac_plane,
 )
 
+from . import oracles
 from .oracles import best_plane_inliers_exhaustive
 
 
@@ -79,6 +83,52 @@ class TestRansacPlane:
         inliers, model = ransac_plane(pts, dist_thresh=0.005, seed=5)
         dists = plane_signed_distances(model, pts[inliers])
         assert np.abs(dists).max() <= 0.005 + 1e-12
+
+
+def refit(pts, consensus, dist_thresh):
+    model = fit_plane_pca(pts[consensus])
+    return np.flatnonzero(np.abs(plane_signed_distances(model, pts)) <= dist_thresh), model
+
+
+class TestRansacAgainstLoop:
+    """One scoring product picks the same winner as scoring one hypothesis at
+    a time. A product column may differ from a single matrix-vector product in
+    the last bits, so a point's membership may differ only where its distance
+    to the winning plane lies within 1e-12 of the threshold."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 150),
+           planar=st.booleans(), repeats=st.booleans(),
+           dist_thresh=st.sampled_from([0.001, 0.005, 0.02, 0.1]),
+           max_iter=st.integers(1, 200))
+    def test_same_inliers_and_model(self, seed, n, planar, repeats, dist_thresh, max_iter):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-0.1, 0.1, size=(n, 3))
+        if planar:
+            pts[: n // 2, 2] = 0.5 + rng.normal(0, 0.002, size=n // 2)
+        if repeats:
+            pts = pts[rng.integers(0, n, size=n)]
+        try:
+            inliers, model = ransac_plane(pts, dist_thresh, max_iter, seed=seed)
+        except ValueError:  # the input itself is collinear
+            return
+        best = oracles.ransac_loop(pts, dist_thresh, max_iter, np.random.default_rng(seed))
+        if best is None:
+            candidates = [np.ones(n, dtype=bool)]
+        else:
+            consensus, normal, offset = best
+            margin = np.abs(np.abs(pts @ normal - offset) - dist_thresh)
+            near = np.flatnonzero(margin <= 1e-12)[:8]
+            candidates = []
+            for size in range(len(near) + 1):
+                for flip in itertools.combinations(near, size):
+                    flipped = consensus.copy()
+                    flipped[list(flip)] ^= True
+                    candidates.append(flipped)
+        assert any(
+            np.array_equal(ref_inliers, inliers)
+            and np.array_equal(ref_model.coefficients(), model.coefficients())
+            for ref_inliers, ref_model in (refit(pts, c, dist_thresh) for c in candidates))
 
 
 class TestExtractPlanesIterative:
