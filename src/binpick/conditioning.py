@@ -5,8 +5,8 @@ outlier removal, moving-least-squares resampling, then a two-radius
 difference-of-normals filter that strips edge and corner points so plane
 fitting only sees flat face interiors.
 
-Per-point computations are pure over a frozen index; results are independent
-of evaluation order.
+Per-point computations are pure over a frozen index; sums run in kd-tree pair
+order, deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -113,36 +113,41 @@ def statistical_outlier_removal(points: np.ndarray, k: int = DEFAULT_SOR_K,
     return pts[mean_d <= thresh]
 
 
-def _polynomial_design(u: np.ndarray, v: np.ndarray, order: int) -> np.ndarray:
-    cols = [np.ones_like(u), u, v]
-    if order == 2:
-        cols += [u * u, u * v, v * v]
-    return np.stack(cols, axis=-1)
+# Powers (p, q) of the local coordinates (u, v) in each term of the height
+# polynomial: 1, u, v, then u^2, uv, v^2 for order 2.
+_DESIGN_EXPONENTS = np.array([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
 
 
-def _padded_neighborhoods(tree: cKDTree, points: np.ndarray, radius: float,
-                          min_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Radius neighborhoods holding at least min_count points, padded to a block.
-
-    Returns (rows, index, present): the indices of the points whose
-    neighborhood qualifies, an (m, kmax) array of their neighbor indices in
-    ascending order, and an (m, kmax) mask of the slots that hold a neighbor
-    (padding slots hold index 0).
-    """
-    n = len(points)
+def _radius_pairs(tree: cKDTree, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unordered pairs (i < j) of points within radius of each other, and each
+    point's neighborhood size with the point itself counted."""
     pairs = tree.query_pairs(radius, output_type="ndarray")
-    # owner * n + member, both directions of each pair plus the point itself:
-    # sorting the key orders members ascending within each owner
-    key = np.sort(np.concatenate([pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0],
-                                  np.arange(n, dtype=np.int64) * (n + 1)]))
-    owner, member = np.divmod(key, n)
-    counts = np.bincount(owner, minlength=n)
-    qualifies = counts >= min_count
-    rows = np.flatnonzero(qualifies)
-    present = np.arange(counts[rows].max(initial=0)) < counts[rows, None]
-    index = np.zeros(present.shape, dtype=np.int64)
-    index[present] = member[qualifies[owner]]
-    return rows, index, present
+    return pairs, np.bincount(pairs.ravel(), minlength=tree.n) + 1
+
+
+def _local_moments(pairs: np.ndarray, offsets: np.ndarray, n: int,
+                   weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted mean and covariance of every point's radius neighborhood, as
+    offsets from the point itself.
+
+    offsets[k] is x_j - x_i for pair k = (i, j): point i sees +offset and
+    point j sees -offset, so first moments change sign at the second endpoint
+    and second moments do not. The point itself has offset 0 and weight 1;
+    weights default to 1 for every pair.
+    """
+    first, second = pairs[:, 0], pairs[:, 1]
+
+    def scatter(values, sign=1):
+        return np.bincount(first, values, n) + sign * np.bincount(second, values, n)
+
+    total = 1.0 + scatter(weights)
+    wd = offsets if weights is None else offsets * weights[:, None]
+    mean = np.stack([scatter(wd[:, c], -1) for c in range(3)], axis=1) / total[:, None]
+    cov = np.empty((n, 3, 3))
+    for r, c in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+        cov[:, r, c] = cov[:, c, r] = (scatter(wd[:, r] * offsets[:, c]) / total
+                                       - mean[:, r] * mean[:, c])
+    return mean, cov
 
 
 def mls_resample(points: np.ndarray, radius: float,
@@ -162,48 +167,52 @@ def mls_resample(points: np.ndarray, radius: float,
     n = len(pts)
     if n == 0:
         return pts.copy()
-    min_neighbors = (order + 1) * (order + 2) // 2
+    exps = _DESIGN_EXPONENTS[:(order + 1) * (order + 2) // 2]
 
-    act_idx, nbr_idx, present = _padded_neighborhoods(cKDTree(pts), pts, radius,
-                                                      min_neighbors)
-    if len(act_idx) == 0:
+    pairs, counts = _radius_pairs(cKDTree(pts), radius)
+    act = counts >= len(exps)
+    if not act.any():
         return pts.copy()
 
-    nbr = pts[nbr_idx]                                   # (m, k, 3)
-    d2 = ((nbr - pts[act_idx, None, :]) ** 2).sum(-1)
+    offsets = pts[pairs[:, 1]] - pts[pairs[:, 0]]
     sigma = radius / 2.0
-    w = np.exp(-d2 / (2.0 * sigma * sigma)) * present    # (m, k)
+    w = np.exp(-(offsets ** 2).sum(1) / (2.0 * sigma * sigma))
+    mean, cov = _local_moments(pairs, offsets, n, w)
+    _, evecs = np.linalg.eigh(cov)                       # normal, e_v, e_u
 
-    wsum = w.sum(1, keepdims=True)
-    centroid = (nbr * w[..., None]).sum(1) / wsum        # (m, 3)
-    rel = (nbr - centroid[:, None, :]) * present[..., None]
-    cov = np.einsum("mki,mk,mkj->mij", rel, w, rel)
-    _, evecs = np.linalg.eigh(cov)
-    normal = evecs[..., 0]
-    e_u = evecs[..., 2]
-    e_v = evecs[..., 1]
+    # every directed (owner, member) pair, then each point as its own member
+    owner = np.concatenate([pairs[:, 0], pairs[:, 1], np.arange(n)])
+    rel = np.concatenate([offsets, -offsets, np.zeros((n, 3))]) - mean[owner]
+    hvu = np.einsum("ki,kij->kj", rel, evecs[owner])
+    hgt, v, u = hvu[:, 0], hvu[:, 1] / radius, hvu[:, 2] / radius
 
-    u = np.einsum("mki,mi->mk", rel, e_u) / radius
-    v = np.einsum("mki,mi->mk", rel, e_v) / radius
-    hgt = np.einsum("mki,mi->mk", rel, normal)
+    # per-point sums of w u^p v^q fill the Gram matrix of the weighted design,
+    # and sums of w h u^p v^q its right-hand side
+    deg = 2 * order
+    moments = np.zeros((n, deg + 1, deg + 1))
+    rhs_moments = np.zeros((n, order + 1, order + 1))
+    w_up = np.concatenate([w, w, np.ones(n)])
+    for p in range(deg + 1):
+        term = w_up.copy()
+        for q in range(deg + 1 - p):
+            moments[:, p, q] = np.bincount(owner, term, n)
+            if p + q <= order:
+                rhs_moments[:, p, q] = np.bincount(owner, term * hgt, n)
+            term *= v
+        w_up *= u
+    gram = moments[:, exps[:, 0, None] + exps[:, 0], exps[:, 1, None] + exps[:, 1]]
+    rhs = rhs_moments[:, exps[:, 0], exps[:, 1]]
+    # hermitian pinv keeps the rank truncation that collinear and duplicate
+    # neighborhoods need; a plain solve fails or amplifies noise on them
+    coeff = np.einsum("mst,mt->ms", np.linalg.pinv(gram, hermitian=True), rhs)
 
-    design = _polynomial_design(u, v, order)             # (m, k, terms)
-    sw = np.sqrt(w)
-    b = design * sw[..., None]
-    rhs = hgt * sw
-    coeff = np.einsum("mtk,mk->mt", np.linalg.pinv(b), rhs)
-
-    rel_p = pts[act_idx] - centroid
-    up = np.einsum("mi,mi->m", rel_p, e_u) / radius
-    vp = np.einsum("mi,mi->m", rel_p, e_v) / radius
-    terms = _polynomial_design(up, vp, order)
-    fit_h = np.einsum("mt,mt->m", terms, coeff)
-
+    up, vp = u[-n:], v[-n:]                              # the point in its own frame
+    fit_h = (coeff * up[:, None] ** exps[:, 0] * vp[:, None] ** exps[:, 1]).sum(1)
     out = pts.copy()
-    out[act_idx] = (centroid
-                    + up[:, None] * radius * e_u
-                    + vp[:, None] * radius * e_v
-                    + fit_h[:, None] * normal)
+    out[act] = (pts + mean
+                + up[:, None] * radius * evecs[..., 2]
+                + vp[:, None] * radius * evecs[..., 1]
+                + fit_h[:, None] * evecs[..., 0])[act]
     return out
 
 
@@ -237,28 +246,16 @@ def estimate_normal(points: np.ndarray, index: NeighborIndex, p,
 def _batched_normals(points: np.ndarray, tree: cKDTree, radius: float,
                      viewpoint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized radius-PCA normals for every point; returns (normals, defined)."""
-    n = len(points)
-    normals = np.zeros((n, 3))
-    candidates, nbr_idx, present = _padded_neighborhoods(tree, points, radius, 3)
-    defined = np.zeros(n, dtype=bool)
-    if len(candidates) == 0:
-        return normals, defined
-
-    nbr = points[nbr_idx]
-    cnt = present.sum(1).astype(float)
-    centroid = (nbr * present[..., None]).sum(1) / cnt[:, None]
-    rel = (nbr - centroid[:, None, :]) * present[..., None]
-    cov = np.einsum("mki,mkj->mij", rel, rel) / cnt[:, None, None]
+    pairs, counts = _radius_pairs(tree, radius)
+    _, cov = _local_moments(pairs, points[pairs[:, 1]] - points[pairs[:, 0]], len(points))
     evals, evecs = np.linalg.eigh(cov)
-    ok = (evals[:, 2] > 0) & (evals[:, 1] > 1e-9 * evals[:, 2])
+    defined = (counts >= 3) & (evals[:, 2] > 0) & (evals[:, 1] > 1e-9 * evals[:, 2])
 
     nrm = evecs[..., 0]
-    flip = np.einsum("mi,mi->m", nrm, viewpoint[None, :] - points[candidates]) < 0
+    flip = np.einsum("mi,mi->m", nrm, viewpoint[None, :] - points) < 0
     nrm[flip] = -nrm[flip]
-
-    normals[candidates[ok]] = nrm[ok]
-    defined[candidates[ok]] = True
-    return normals, defined
+    nrm[~defined] = 0.0
+    return nrm, defined
 
 
 def compute_normal_field(points: np.ndarray, r_small: float, r_large: float,

@@ -5,9 +5,10 @@ pairwise distances, Kruskal over the full edge list, all 3-subsets for plane
 fitting. None of it shares code with the library paths it validates.
 
 The step-by-step references (``prim_mst``, ``single_linkage``,
-``radius_neighborhoods``, ``voxel_centroids``, ``ransac_loop``) are the
-point layer's earlier per-element formulations, kept so that the batched
-versions can be checked against them value for value.
+``radius_neighborhoods``, ``voxel_centroids``, ``ransac_loop``,
+``padded_mls_resample``, ``padded_normals``) are the point layer's earlier
+per-element or per-neighborhood formulations, kept so that the batched
+versions can be checked against them.
 """
 
 from __future__ import annotations
@@ -329,6 +330,92 @@ def radius_neighborhoods(points: np.ndarray, radius: float, min_count: int
     index[present] = np.fromiter(itertools.chain.from_iterable(neighborhoods[i] for i in rows),
                                  dtype=np.int64, count=int(counts[rows].sum()))
     return rows, index, present
+
+
+def polynomial_design(u: np.ndarray, v: np.ndarray, order: int) -> np.ndarray:
+    cols = [np.ones_like(u), u, v]
+    if order == 2:
+        cols += [u * u, u * v, v * v]
+    return np.stack(cols, axis=-1)
+
+
+def padded_mls_resample(points: np.ndarray, radius: float, order: int = 2) -> np.ndarray:
+    """MLS projection over neighborhoods padded to the largest one, with one
+    pseudo-inverse of the weighted (k, terms) design block per point."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    n = len(pts)
+    if n == 0:
+        return pts.copy()
+    min_neighbors = (order + 1) * (order + 2) // 2
+
+    act_idx, nbr_idx, present = radius_neighborhoods(pts, radius, min_neighbors)
+    if len(act_idx) == 0:
+        return pts.copy()
+
+    nbr = pts[nbr_idx]                                   # (m, k, 3)
+    d2 = ((nbr - pts[act_idx, None, :]) ** 2).sum(-1)
+    sigma = radius / 2.0
+    w = np.exp(-d2 / (2.0 * sigma * sigma)) * present    # (m, k)
+
+    wsum = w.sum(1, keepdims=True)
+    centroid = (nbr * w[..., None]).sum(1) / wsum        # (m, 3)
+    rel = (nbr - centroid[:, None, :]) * present[..., None]
+    cov = np.einsum("mki,mk,mkj->mij", rel, w, rel)
+    _, evecs = np.linalg.eigh(cov)
+    normal = evecs[..., 0]
+    e_u = evecs[..., 2]
+    e_v = evecs[..., 1]
+
+    u = np.einsum("mki,mi->mk", rel, e_u) / radius
+    v = np.einsum("mki,mi->mk", rel, e_v) / radius
+    hgt = np.einsum("mki,mi->mk", rel, normal)
+
+    design = polynomial_design(u, v, order)              # (m, k, terms)
+    sw = np.sqrt(w)
+    b = design * sw[..., None]
+    rhs = hgt * sw
+    coeff = np.einsum("mtk,mk->mt", np.linalg.pinv(b), rhs)
+
+    rel_p = pts[act_idx] - centroid
+    up = np.einsum("mi,mi->m", rel_p, e_u) / radius
+    vp = np.einsum("mi,mi->m", rel_p, e_v) / radius
+    terms = polynomial_design(up, vp, order)
+    fit_h = np.einsum("mt,mt->m", terms, coeff)
+
+    out = pts.copy()
+    out[act_idx] = (centroid
+                    + up[:, None] * radius * e_u
+                    + vp[:, None] * radius * e_v
+                    + fit_h[:, None] * normal)
+    return out
+
+
+def padded_normals(points: np.ndarray, radius: float,
+                   viewpoint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Radius-PCA normals from centred padded neighborhood blocks, oriented
+    toward the viewpoint; returns (normals, defined)."""
+    n = len(points)
+    normals = np.zeros((n, 3))
+    candidates, nbr_idx, present = radius_neighborhoods(points, radius, 3)
+    defined = np.zeros(n, dtype=bool)
+    if len(candidates) == 0:
+        return normals, defined
+
+    nbr = points[nbr_idx]
+    cnt = present.sum(1).astype(float)
+    centroid = (nbr * present[..., None]).sum(1) / cnt[:, None]
+    rel = (nbr - centroid[:, None, :]) * present[..., None]
+    cov = np.einsum("mki,mkj->mij", rel, rel) / cnt[:, None, None]
+    evals, evecs = np.linalg.eigh(cov)
+    ok = (evals[:, 2] > 0) & (evals[:, 1] > 1e-9 * evals[:, 2])
+
+    nrm = evecs[..., 0]
+    flip = np.einsum("mi,mi->m", nrm, viewpoint[None, :] - points[candidates]) < 0
+    nrm[flip] = -nrm[flip]
+
+    normals[candidates[ok]] = nrm[ok]
+    defined[candidates[ok]] = True
+    return normals, defined
 
 
 def voxel_centroids(points: np.ndarray, leaf: float) -> np.ndarray:

@@ -5,7 +5,8 @@ from scipy.spatial import cKDTree
 
 from binpick.conditioning import (
     NeighborIndex,
-    _padded_neighborhoods,
+    _batched_normals,
+    _radius_pairs,
     compute_normal_field,
     don_filter,
     estimate_normal,
@@ -296,14 +297,23 @@ class TestDonFilter:
             assert np.abs(norms - 1).max() < 1e-9
 
 
-def assert_same_arrays(got, ref):
-    for g, r in zip(got, ref, strict=True):
-        assert g.dtype == r.dtype
-        assert np.array_equal(g, r)
+def padded_rows(pairs, counts, min_count):
+    """(rows, index, present) blocks rebuilt from the pair list: each qualifying
+    point's members, itself included, in ascending order."""
+    n = len(counts)
+    members = [[i] for i in range(n)]
+    for i, j in pairs.tolist():
+        members[i].append(j)
+        members[j].append(i)
+    rows = np.flatnonzero(counts >= min_count)
+    present = np.arange(counts[rows].max(initial=0)) < counts[rows, None]
+    index = np.zeros(present.shape, dtype=np.int64)
+    index[present] = [m for i in rows for m in sorted(members[i])]
+    return rows, index, present
 
 
-class TestPaddedNeighborhoods:
-    """Neighborhoods from one pair query equal one ball query per point."""
+class TestRadiusPairs:
+    """One pair query gives the same neighborhoods as one ball query per point."""
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(*[st.integers(1, 6)] * 3),
@@ -317,29 +327,152 @@ class TestPaddedNeighborhoods:
         if len(pts) == 0:
             pts = grid[:1]
         radius = pitch * np.sqrt(squared)
-        got = _padded_neighborhoods(cKDTree(pts), pts, radius, min_count)
-        assert_same_arrays(got, oracles.radius_neighborhoods(pts, radius, min_count))
+        pairs, counts = _radius_pairs(cKDTree(pts), radius)
+        assert (pairs[:, 0] < pairs[:, 1]).all()
+        assert len(np.unique(pairs, axis=0)) == len(pairs)
+        got = padded_rows(pairs, counts, min_count)
+        for g, r in zip(got, oracles.radius_neighborhoods(pts, radius, min_count), strict=True):
+            assert np.array_equal(g, r)
 
     def test_rows_match_brute_force(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             pts = rng.uniform(-1, 1, size=(int(rng.integers(1, 300)), 3))
             radius = float(rng.uniform(0.05, 0.6))
-            min_count = int(rng.integers(1, 6))
-            rows, index, present = _padded_neighborhoods(cKDTree(pts), pts, radius, min_count)
+            pairs, counts = _radius_pairs(cKDTree(pts), radius)
             brute = [brute_radius(pts, p, radius) for p in pts]
-            assert rows.tolist() == [i for i, b in enumerate(brute) if len(b) >= min_count]
+            assert counts.tolist() == [len(b) for b in brute]
+            rows, index, present = padded_rows(pairs, counts, 1)
             for row, idx, mask in zip(rows, index, present):
                 assert np.array_equal(idx[mask], brute[row])
-                assert not idx[~mask].any()
 
     def test_no_row_qualifies(self):
         pts = np.arange(12.0).reshape(4, 3)
-        rows, index, present = _padded_neighborhoods(cKDTree(pts), pts, 0.5, 2)
-        assert rows.shape == (0,)
-        assert index.shape == present.shape == (0, 0)
+        pairs, counts = _radius_pairs(cKDTree(pts), 0.5)
+        assert pairs.shape == (0, 2)
+        assert counts.tolist() == [1, 1, 1, 1]
         field = compute_normal_field(pts, 0.5, 1.0)
         assert not field.defined.any()
+        assert np.array_equal(mls_resample(pts, 0.5), pts)
+
+
+def rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+def noisy_patch(rng, noise):
+    """A tilted, randomly placed, gently curved grid patch with depth noise."""
+    pitch = float(rng.uniform(0.003, 0.01))
+    pts = planar_grid(int(rng.integers(4, 14)), int(rng.integers(4, 14)), pitch)
+    pts[:, 2] = float(rng.uniform(-2, 2)) * pts[:, 0] * pts[:, 1] + rng.normal(0, noise, len(pts))
+    pts = pts @ rotation(rng).T + rng.uniform(-1, 1, 3) + [0, 0, 1.5]
+    return pts, pitch * float(rng.uniform(1.5, 4))
+
+
+def planar_lattice(rng, squared):
+    """A 2D lattice subset in an axis plane; the radius is a lattice distance."""
+    pitch = float(rng.choice([0.5, 0.04, 0.003]))
+    shape = [int(rng.integers(2, 9)), int(rng.integers(2, 9)), 1]
+    grid = np.indices(shape).reshape(3, -1).T * pitch
+    pts = grid[rng.random(len(grid)) < 0.8][:, rng.permutation(3)] + rng.integers(-3, 4, 3)
+    return (pts if len(pts) else grid[:1]), pitch * np.sqrt(squared)
+
+
+def duplicates(rng):
+    """A few distinct points, each repeated."""
+    radius = float(rng.uniform(0.01, 0.1))
+    distinct = rng.uniform(-radius / 2, radius / 2, (int(rng.integers(1, 5)), 3))
+    return np.repeat(distinct, int(rng.integers(2, 12)), axis=0) + [0.1, -0.2, 0.9], radius
+
+
+def collinear(rng):
+    """Points along one line through a random point; about one step in five
+    is zero, which repeats a point exactly."""
+    k = int(rng.integers(3, 41))
+    t = np.cumsum(rng.uniform(0, 0.01, k) * (rng.random(k) < 0.8))
+    direction = rng.normal(size=3)
+    pts = rng.uniform(-1, 1, 3) + t[:, None] * direction / np.linalg.norm(direction)
+    return pts, float(rng.uniform(0.01, 0.2))
+
+
+def edge_on_plane(rng, noise):
+    """A plane through the viewpoint (the sensor origin), so it is seen edge-on."""
+    pts = planar_grid(int(rng.integers(4, 12)), int(rng.integers(4, 12)), 0.005)
+    pts = pts[:, [0, 2, 1]] + [0.3, 0.0, 0.8]            # the x-z plane, y = 0
+    pts[:, 1] += rng.normal(0, noise, len(pts)) if noise else 0.0
+    return pts, 0.012
+
+
+def pair_input(kind, rng):
+    if kind == "noisy_patch":
+        return noisy_patch(rng, float(rng.choice([1e-5, 1e-4, 1e-3])))
+    if kind == "lattice":
+        return planar_lattice(rng, int(rng.choice([1, 2, 4, 5, 8])))
+    if kind == "duplicates":
+        return duplicates(rng)
+    if kind == "collinear":
+        return collinear(rng)
+    return edge_on_plane(rng, float(rng.choice([0.0, 1e-5])))
+
+
+KINDS = ["noisy_patch", "lattice", "duplicates", "collinear", "edge_on"]
+
+
+def design_singular_ratio(pts, i, radius, order):
+    """Smallest over largest singular value of the weighted polynomial design
+    that the padded reference fits at point i."""
+    nb = pts[brute_radius(pts, pts[i], radius)]
+    w = np.exp(-((nb - pts[i]) ** 2).sum(1) / (2 * (radius / 2) ** 2))
+    rel = nb - (nb * w[:, None]).sum(0) / w.sum()
+    _, evecs = np.linalg.eigh(np.einsum("ki,k,kj->ij", rel, w, rel))
+    uv = rel @ evecs[:, [2, 1]] / radius
+    design = oracles.polynomial_design(uv[:, 0], uv[:, 1], order) * np.sqrt(w)[:, None]
+    s = np.linalg.svd(design, compute_uv=False)
+    return s[-1] / s[0]
+
+
+class TestAgainstPaddedReference:
+    """Pair-moment MLS and normals against the padded-block references."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(KINDS),
+           order=st.sampled_from([1, 2]))
+    def test_mls_matches_reference(self, seed, kind, order):
+        # Equal to rounding wherever the fit is well conditioned or singular to
+        # working precision. A nearly singular design (a few neighbors close to
+        # a conic) is solved through its Gram matrix, which squares the
+        # condition number, so only those points are exempt.
+        pts, radius = pair_input(kind, np.random.default_rng(seed))
+        diff = np.abs(mls_resample(pts, radius, order)
+                      - oracles.padded_mls_resample(pts, radius, order)).max(1)
+        for i in np.flatnonzero(diff > 1e-12):
+            assert 1e-14 < design_singular_ratio(pts, i, radius, order) < 1e-4
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(KINDS + ["lattice3d"]))
+    def test_normals_match_reference(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "lattice3d":
+            grid = np.indices((4, 4, 3)).reshape(3, -1).T * 0.01
+            pts, radius = grid[rng.random(len(grid)) < 0.7], 0.01 * np.sqrt(rng.choice([1, 2, 3]))
+        else:
+            pts, radius = pair_input(kind, rng)
+        view = np.zeros(3) if kind == "edge_on" else rng.uniform(-1, 1, 3) * [1, 1, 0]
+        got, defined = _batched_normals(pts, cKDTree(pts), radius, view)
+        ref, ref_defined = oracles.padded_normals(pts, radius, view)
+        assert np.array_equal(defined, ref_defined)
+        assert not got[~defined].any()
+        for i in np.flatnonzero(defined):
+            nb = pts[brute_radius(pts, pts[i], radius)]
+            evals = np.linalg.eigvalsh(np.cov(nb.T, bias=True))
+            if evals[1] - evals[0] <= 1e-6 * evals[2]:
+                continue                                 # the normal axis is not unique
+            dot = got[i] @ ref[i]
+            assert abs(dot) >= 1 - 1e-12
+            to_view = view - pts[i]
+            if abs(ref[i] @ to_view) > 1e-9 * np.linalg.norm(to_view):
+                assert dot > 0
 
 
 class TestVoxelGridAgainstReference:

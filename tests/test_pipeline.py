@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import binpick
+from binpick.core import OrganizedCloud
 from binpick.errors import ConfigError, InputError
 from binpick.fileio import (
     read_image,
@@ -213,6 +214,56 @@ class TestRunPipeline:
         report = localize_masks(config, [mask], cloud)
         assert report.poses == []
         assert report.counts["skipped_masks"] == 1
+
+
+class TestDegenerateMasks:
+    """Masks that leave no cloud, a handful of points or a line of them end in
+    counts, not exceptions; off-grid mask pixels are dropped."""
+
+    @pytest.fixture(scope="class")
+    def one_box(self):
+        # RGB and depth grids coincide here (identity homography)
+        scene = SceneSpec(boxes=(make_box((150, 120, 60), (20, -10, 30)),),
+                          rgb_resolution=(224, 172))
+        config = PipelineConfig(homography=scene_homography(scene))
+        top = render_image(scene).pixels == 200
+        return config, render_depth(scene), top
+
+    def localize(self, config, bits, cloud):
+        return localize_masks(config, [BinaryMask(bits=bits, role="parent")], cloud)
+
+    def test_all_invalid_cloud_skips_the_mask(self, one_box):
+        config, cloud, top = one_box
+        invalid = OrganizedCloud(points=np.zeros_like(cloud.points),
+                                 valid=np.zeros_like(cloud.valid))
+        report = self.localize(config, top, invalid)
+        assert report.counts["skipped_masks"] == 1
+        assert report.poses == []
+
+    @pytest.mark.parametrize("shape", ["pixel", "3x3", "row"])
+    def test_tiny_masks_give_no_clusters(self, one_box, shape):
+        config, cloud, top = one_box
+        ys, xs = np.nonzero(top)
+        cy, cx = int(ys.mean()), int(xs.mean())
+        window = {"pixel": np.s_[cy, cx], "3x3": np.s_[cy - 1:cy + 2, cx - 1:cx + 2],
+                  "row": np.s_[cy, xs.min():xs.max() + 1]}[shape]
+        bits = np.zeros_like(top)
+        bits[window] = True
+        report = self.localize(config, bits, cloud)
+        assert report.counts["skipped_masks"] == 0
+        assert report.counts["clusters"] == 0
+        assert report.poses == []
+
+    def test_mask_half_off_the_depth_grid(self, one_box):
+        config, cloud, top = one_box
+        h, w = top.shape
+        bits = np.zeros((2 * h, 2 * w), dtype=bool)     # twice the depth grid
+        bits[:h, :w] = top
+        bits[:h, w:] = top                               # maps beyond the grid
+        report = self.localize(config, bits, cloud)
+        assert len(report.poses) == 1
+        on_grid = self.localize(config, top, cloud)
+        assert report.to_dict()["poses"] == on_grid.to_dict()["poses"]
 
 
 class TestVerify:
