@@ -37,12 +37,24 @@ class Homography:
     def map_points(self, xy: np.ndarray) -> np.ndarray:
         """Map (n, 2) pixel coordinates through the homography."""
         pts = np.asarray(xy, dtype=float).reshape(-1, 2)
-        homog = np.column_stack([pts, np.ones(len(pts))])
+        return self._map_homogeneous(_homogeneous(pts[:, 0], pts[:, 1]))
+
+    def _map_homogeneous(self, homog: np.ndarray) -> np.ndarray:
+        """Map (n, 3) homogeneous pixel coordinates to (n, 2) depth pixels."""
         mapped = homog @ self.h.T
         return mapped[:, :2] / mapped[:, 2:3]
 
     def to_flat_list(self) -> list[float]:
         return [float(v) for v in self.h.reshape(9)]
+
+
+def _homogeneous(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(n, 3) float64 rows (x, y, 1), filled in one preallocated array."""
+    homog = np.empty((len(x), 3))
+    homog[:, 0] = x
+    homog[:, 1] = y
+    homog[:, 2] = 1.0
+    return homog
 
 
 @dataclass(frozen=True)
@@ -129,7 +141,7 @@ def map_mask_to_cloud(mask: BinaryMask, homography: Homography,
     ys, xs = np.divmod(np.flatnonzero(mask.bits), mask.width)
     if len(xs) == 0:
         raise EmptyClusterError("mask has no set bits")
-    mapped = homography.map_points(np.column_stack([xs, ys]))
+    mapped = homography._map_homogeneous(_homogeneous(xs, ys))
     u = np.rint(mapped[:, 0]).astype(np.int64)
     v = np.rint(mapped[:, 1]).astype(np.int64)
     inside = (u >= 0) & (u < cloud.width) & (v >= 0) & (v < cloud.height)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, sparse
+from scipy.sparse import csgraph
 
 # Gradient kernels applied by cross-correlation; x increases right, y increases down.
 KGX = np.array([[-1, 0, 1],
@@ -118,26 +119,22 @@ def extract_roi(img: GrayImage, rect: tuple[int, int, int, int]) -> GrayImage:
     return GrayImage(img.pixels[y:y + h, x:x + w].copy())
 
 
-def _correlate_1d(a: np.ndarray, taps: tuple[int, int, int], axis: int) -> np.ndarray:
-    """Correlate a padded array with a 3-tap integer kernel along ``axis``; the
-    result is one element shorter at each end of that axis, in ``a``'s dtype."""
-    n = a.shape[axis] - 2
-    index = [slice(None), slice(None)]
-    out = None
-    for k, weight in enumerate(taps):
-        if weight == 0:
-            continue
-        index[axis] = slice(k, k + n)
-        view = a[tuple(index)]
-        if out is None:
-            out = view * weight
-        elif weight == 1:  # unit weights add in place, without a temporary
-            out += view
-        elif weight == -1:
-            out -= view
-        else:
-            out += view * weight
-    return out
+def _pairs(a: np.ndarray, axis: int, gap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of ``a[i]`` and ``a[i + gap]`` along ``axis``, for every i that has both."""
+    n = a.shape[axis] - gap
+    lo, hi = [slice(None), slice(None)], [slice(None), slice(None)]
+    lo[axis], hi[axis] = slice(0, n), slice(gap, gap + n)
+    return a[tuple(lo)], a[tuple(hi)]
+
+
+def _binomial(a: np.ndarray, axis: int) -> np.ndarray:
+    """Correlate a padded array with BINOMIAL_TAPS along ``axis``, as two
+    pairwise sums since (1, 2, 1) is (1, 1) applied twice; the result is one
+    element shorter at each end of that axis, in ``a``'s dtype."""
+    for _ in range(2):
+        lo, hi = _pairs(a, axis, 1)
+        a = lo + hi
+    return a
 
 
 def _padded(img: GrayImage, dtype) -> np.ndarray:
@@ -147,32 +144,39 @@ def _padded(img: GrayImage, dtype) -> np.ndarray:
     return np.pad(img.pixels, 1, mode="edge").astype(dtype)
 
 
-# Sums of the 16-weight binomial over 8-bit pixels lie in 0..4080; the table
-# divides by 16 and rounds half to even, as np.rint does.
-_ROUND_SIXTEENTHS = np.rint(np.arange(16 * 255 + 1) / 16.0).astype(np.uint8)
+def _rint_sixteenths(sums: np.ndarray) -> np.ndarray:
+    """Divide uint16 sums in 0..4080 by 16 in place, rounding half to even as
+    np.rint does: adding 7 plus the quotient's low bit carries exactly the
+    remainders above 8, and 8 itself when the quotient is odd."""
+    odd = sums >> 4
+    odd &= 1
+    sums += odd
+    sums += 7
+    sums >>= 4
+    return sums
 
 
 def gaussian_smooth_3x3(img: GrayImage) -> GrayImage:
     """Smooth with the 3x3 binomial kernel; borders replicate edge pixels.
 
     The kernel is outer(BINOMIAL_TAPS, BINOMIAL_TAPS) / 16, applied as two
-    integer passes and one exact rounding lookup.
+    integer passes and one exact integer rounding.
     """
-    padded = _padded(img, np.uint16)
-    sums = _correlate_1d(_correlate_1d(padded, BINOMIAL_TAPS, 1), BINOMIAL_TAPS, 0)
-    return GrayImage(_ROUND_SIXTEENTHS[sums])
+    sums = _binomial(_binomial(_padded(img, np.uint16), 1), 0)
+    return GrayImage(_rint_sixteenths(sums).astype(np.uint8))
 
 
-def sobel_gradients(img: GrayImage) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pixel gx, gy and L2 magnitude from the fixed gradient kernels.
+def sobel_gradients(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pixel gx and gy from the fixed gradient kernels, as int16.
 
-    Both kernels run as separable integer passes (|g| <= 1020 fits int16);
-    ``mag`` is float64.
+    Both kernels run as separable integer passes, DIFFERENCE_TAPS as one
+    subtraction; |g| <= 1020, so |gx| + |gy| <= 2040 fits int16 too.
     """
     padded = _padded(img, np.int16)
-    gx = _correlate_1d(_correlate_1d(padded, DIFFERENCE_TAPS, 1), BINOMIAL_TAPS, 0)
-    gy = _correlate_1d(_correlate_1d(padded, BINOMIAL_TAPS, 1), DIFFERENCE_TAPS[::-1], 0)
-    return gx, gy, np.hypot(gx.astype(np.float64), gy.astype(np.float64))
+    left, right = _pairs(padded, 1, 2)
+    gx = _binomial(right - left, 0)
+    above, below = _pairs(_binomial(padded, 1), 0, 2)
+    return gx, above - below  # KGY takes the row above minus the row below
 
 
 # Neighbor offsets (dx, dy) per quantized signed gradient direction, 45-degree
@@ -185,45 +189,77 @@ def auto_canny(img: GrayImage, sigma: float = DEFAULT_CANNY_SIGMA) -> np.ndarray
     """Canny edge map with hysteresis thresholds taken from the intensity median.
 
     lower = max(0, (1 - sigma) * median), upper = min(255, (1 + sigma) * median).
-    Non-maximum suppression compares each pixel against its two neighbors along
-    the quantized signed gradient direction; the tie on an ideal two-pixel step
-    keeps the pixel the gradient points away from (the darker side), so step
-    edges stay one pixel wide and opposite edges of a bright region erode it
-    symmetrically. Neighbors beyond the border replicate the edge pixel.
+    Non-maximum suppression compares each pixel's L2 gradient magnitude against
+    its two neighbors along the quantized signed gradient direction. On an
+    ideal two-pixel step the tie keeps the darker pixel of an x gradient and
+    the brighter pixel of a y gradient (``KGY`` counts y up, ``_NMS_OFFSETS``
+    counts rows down), so step edges stay one pixel wide and opposite edges of
+    a bright region erode it symmetrically. Neighbors beyond the border
+    replicate the edge pixel.
 
-    Only pixels above the lower threshold can become edges, so suppression
-    runs on those alone.
+    Only pixels above the lower threshold can become edges. The magnitude
+    never exceeds |gx| + |gy|, so that integer sum picks the candidates, and
+    the float64 magnitude is computed only at them and at their neighbors.
+    Hysteresis labels the 8-connected components of the surviving pixels.
     """
-    gx, gy, mag = sobel_gradients(img)
-    h, w = mag.shape
+    gx, gy = sobel_gradients(img)
+    h, w = gx.shape
     med = float(np.median(img.pixels))
     lower = max(0.0, (1.0 - sigma) * med)
     upper = min(255.0, (1.0 + sigma) * med)
 
-    flat_mag = mag.ravel()
-    cand = np.flatnonzero(flat_mag > lower)
-    m = flat_mag[cand]
-    deg = (np.degrees(np.arctan2(gy.ravel()[cand].astype(np.float64),
-                                 gx.ravel()[cand].astype(np.float64))) + 360.0) % 360.0
+    fx, fy = gx.ravel(), gy.ravel()
+
+    def magnitude(idx):
+        return np.hypot(fx[idx].astype(np.float64), fy[idx].astype(np.float64))
+
+    l1 = np.abs(gx)
+    l1 += np.abs(gy)
+    # l1 is integral and lower >= 0, so l1 > lower exactly when l1 > floor(lower)
+    cand = np.flatnonzero(l1 > int(lower))
+    m = magnitude(cand)
+    above = m > lower
+    cand, m = cand[above], m[above]
+    deg = (np.degrees(np.arctan2(fy[cand].astype(np.float64),
+                                 fx[cand].astype(np.float64))) + 360.0) % 360.0
     sector = (np.floor((deg + 22.5) / 45.0).astype(np.int64)) % 8
     dx, dy = _NMS_DX[sector], _NMS_DY[sector]
     y, x = np.divmod(cand, w)
-    nxt = mag[np.clip(y + dy, 0, h - 1), np.clip(x + dx, 0, w - 1)]
-    prv = mag[np.clip(y - dy, 0, h - 1), np.clip(x - dx, 0, w - 1)]
+    nxt = magnitude(np.clip(y + dy, 0, h - 1) * w + np.clip(x + dx, 0, w - 1))
+    prv = magnitude(np.clip(y - dy, 0, h - 1) * w + np.clip(x - dx, 0, w - 1))
     keep = (m > prv) & (m >= nxt)
 
     weak = cand[keep]
-    strong = weak[m[keep] > upper]
+    strong = m[keep] > upper
     edges = np.zeros(h * w, dtype=bool)
-    if strong.size == 0:
-        return edges.reshape(h, w)
-    edges[weak] = True
-    labels, n = ndimage.label(edges.reshape(h, w), structure=_EIGHT_CONN)
-    labels = labels.ravel()
-    hit = np.zeros(n + 1, dtype=bool)
-    hit[labels[strong]] = True
-    edges[weak] = hit[labels[weak]]
+    if strong.any():
+        labels = _eight_connected_components(weak, w)
+        hit = np.zeros(labels.max() + 1, dtype=bool)
+        hit[labels[strong]] = True
+        edges[weak[hit[labels]]] = True
     return edges.reshape(h, w)
+
+
+def _eight_connected_components(pixels: np.ndarray, w: int) -> np.ndarray:
+    """Component label of each pixel of a set given as ascending flat indices
+    into rows of width ``w``, under 8-connectivity.
+
+    Each pixel links to its right, lower-left, lower and lower-right
+    neighbors when they are in the set; the column tests keep a link from
+    wrapping past either end of a row.
+    """
+    x = pixels % w
+    src, dst = [], []
+    for step, inside in ((1, x < w - 1), (w - 1, x > 0), (w, True), (w + 1, x < w - 1)):
+        target = pixels + step
+        j = np.searchsorted(pixels, target)
+        found = inside & (pixels[np.minimum(j, len(pixels) - 1)] == target)
+        src.append(np.flatnonzero(found))
+        dst.append(j[found])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    graph = sparse.csr_matrix((np.ones(len(src), dtype=np.int8), (src, dst)),
+                              shape=(len(pixels), len(pixels)))
+    return csgraph.connected_components(graph, directed=False)[1]
 
 
 def find_contours(edges: np.ndarray) -> list[Contour]:
@@ -252,21 +288,21 @@ def find_contours(edges: np.ndarray) -> list[Contour]:
     dilated[:-1] |= rows[1:]
 
     free_labels, n_free = ndimage.label(~dilated, structure=_FOUR_CONN)
-    outside = np.zeros(n_free + 1, dtype=bool)
+    is_enclosed = np.ones(n_free + 1, dtype=bool)
+    is_enclosed[0] = False  # the dilated edges
     for edge in (free_labels[0], free_labels[-1], free_labels[:, 0], free_labels[:, -1]):
-        outside[edge] = True
-    enclosed = np.flatnonzero(~outside[1:]) + 1
+        is_enclosed[edge] = False
+    enclosed = np.flatnonzero(is_enclosed)
     if enclosed.size == 0:
         return []
-    boxes = ndimage.find_objects(free_labels)
+    boxes = _label_boxes(free_labels, is_enclosed)
 
     # Labels ascend in raster order of first pixels, so a container comes
     # before what it holds, and filled polygons are nested or disjoint: the
     # last contour painted over a region's first pixel is its parent.
     owner = np.zeros(h * w, dtype=np.int32)  # contour index + 1, 0 for none
     contours: list[Contour] = []
-    for lab in enclosed:
-        ys, xs = boxes[lab - 1]
+    for lab, (ys, xs) in zip(enclosed, boxes):
         rest, _ = ndimage.label(np.pad(free_labels[ys, xs] != lab, 1, constant_values=True),
                                 structure=_EIGHT_CONN)
         fy, fx = np.nonzero(rest[1:-1, 1:-1] != rest[0, 0])
@@ -281,6 +317,31 @@ def find_contours(edges: np.ndarray) -> list[Contour]:
             shape=(h, w),
         ))
     return contours
+
+
+def _label_boxes(labels: np.ndarray, selected: np.ndarray) -> list[tuple[slice, slice]]:
+    """Bounding box (row slice, column slice) of each label flagged in
+    ``selected``, in label order, read off the horizontal runs of the label
+    image instead of a scan per label."""
+    h, w = labels.shape
+    flat = labels.ravel()
+    starts = np.empty(h * w, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    starts[::w] = True  # every row starts a run
+    starts = np.flatnonzero(starts)
+    ends = np.append(starts[1:], h * w) - 1  # a run ends where the next starts
+    lab = flat[starts]
+    keep = selected[lab]
+    starts, ends, lab = starts[keep], ends[keep], lab[keep]
+    order = np.argsort(lab, kind="stable")  # raster order within each label
+    starts, ends, lab = starts[order], ends[order], lab[order]
+    first = np.flatnonzero(np.r_[True, lab[1:] != lab[:-1]])
+    last = np.r_[first[1:], len(lab)] - 1
+    y0, y1 = starts[first] // w, ends[last] // w
+    x0 = np.minimum.reduceat(starts % w, first)
+    x1 = np.maximum.reduceat(ends % w, first)
+    return [(slice(a, b + 1), slice(c, d + 1))
+            for a, b, c, d in zip(y0.tolist(), y1.tolist(), x0.tolist(), x1.tolist())]
 
 
 def scaled_min_area(min_area_at_reference: float, width: int, height: int) -> float:

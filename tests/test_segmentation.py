@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from binpick.segmentation import (
     BINOMIAL_TAPS,
+    DEFAULT_CANNY_SIGMA,
     DIFFERENCE_TAPS,
     GAUSSIAN_3X3,
     KGX,
@@ -20,6 +22,7 @@ from binpick.segmentation import (
     scaled_min_area,
     sobel_gradients,
 )
+from binpick.segmentation import _rint_sixteenths
 
 from . import oracles
 
@@ -71,11 +74,33 @@ class TestAgainstFloatReference:
     def test_smooth_sobel_canny(self, px, sigma):
         img = GrayImage(px)
         assert np.array_equal(gaussian_smooth_3x3(img).pixels, oracles.smooth_3x3(px))
-        gx, gy, mag = sobel_gradients(img)
+        gx, gy = sobel_gradients(img)
         rgx, rgy, rmag = oracles.sobel(px)
+        assert gx.dtype == gy.dtype == np.int16
         assert np.array_equal(gx, rgx) and np.array_equal(gy, rgy)
-        assert mag.dtype == np.float64 and np.array_equal(mag, rmag)
+        assert np.array_equal(np.hypot(gx.astype(np.float64), gy.astype(np.float64)), rmag)
         assert np.array_equal(auto_canny(img, sigma), oracles.canny(px, sigma))
+
+
+class TestIntegerArithmetic:
+    """The integer shortcuts hold for every value they can meet."""
+
+    def test_rint_sixteenths_every_sum(self):
+        # 16-weight binomial sums over 8-bit pixels lie in 0..4080
+        sums = np.arange(16 * 255 + 1, dtype=np.uint16)
+        got = _rint_sixteenths(sums.copy())
+        assert got.dtype == np.uint16
+        assert np.array_equal(got, np.rint(sums / 16.0))
+
+    def test_l1_norm_bounds_magnitude_for_every_gradient(self):
+        # Sobel responses over 8-bit pixels lie in [-1020, 1020]; the int16
+        # |gx| + |gy| that picks Canny candidates never falls below hypot.
+        g = np.arange(-1020, 1021, dtype=np.int16)
+        for gx in np.array_split(g, 8):
+            gx, gy = np.broadcast_arrays(gx[:, None], g[None, :])
+            l1 = np.abs(gx) + np.abs(gy)
+            assert l1.dtype == np.int16
+            assert np.all(np.hypot(gx.astype(np.float64), gy.astype(np.float64)) <= l1)
 
 
 class TestExtractRoi:
@@ -124,18 +149,18 @@ class TestGaussianSmooth:
 class TestSobel:
     def test_constant_image_zero_gradient(self):
         img = GrayImage(np.full((8, 8), 77, dtype=np.uint8))
-        gx, gy, mag = sobel_gradients(img)
-        assert np.abs(gx).max() == 0 and np.abs(gy).max() == 0 and mag.max() == 0
+        gx, gy = sobel_gradients(img)
+        assert np.abs(gx).max() == 0 and np.abs(gy).max() == 0
 
     def test_horizontal_ramp(self):
         px = np.tile(np.array([0, 1, 2], dtype=np.uint8), (3, 1))
-        gx, gy, _ = sobel_gradients(GrayImage(px))
+        gx, gy = sobel_gradients(GrayImage(px))
         assert gx[1, 1] == 8
         assert gy[1, 1] == 0
 
     def test_vertical_ramp_sign(self):
         px = np.tile(np.array([[0], [1], [2]], dtype=np.uint8), (1, 3))
-        gx, gy, _ = sobel_gradients(GrayImage(px))
+        gx, gy = sobel_gradients(GrayImage(px))
         assert gx[1, 1] == 0
         assert gy[1, 1] == -8
 
@@ -143,7 +168,7 @@ class TestSobel:
         # slope s in x gives gx = 8 s and gy = 0 at every interior pixel
         for s in (1, 3, 7, 21):
             px = np.tile(np.arange(12, dtype=np.int64) * s, (9, 1)).astype(np.uint8)
-            gx, gy, _ = sobel_gradients(GrayImage(px))
+            gx, gy = sobel_gradients(GrayImage(px))
             assert np.all(gx[1:-1, 1:-1] == 8 * s)
             assert np.all(gy[1:-1, 1:-1] == 0)
 
@@ -161,6 +186,17 @@ class TestAutoCanny:
         assert set(xs) == {4}
         assert set(ys) == set(range(10))
 
+    @pytest.mark.parametrize("bright_first", [True, False])
+    def test_step_tie_keeps_darker_column_and_brighter_row(self, bright_first):
+        step = np.zeros((10, 10), dtype=np.uint8)
+        step[:5] = 255 if bright_first else 0
+        step[5:] = 0 if bright_first else 255
+        dark, bright = (5, 4) if bright_first else (4, 5)
+        _, xs = np.nonzero(auto_canny(GrayImage(step.T)))  # x gradient
+        assert set(xs.tolist()) == {dark}
+        ys, _ = np.nonzero(auto_canny(GrayImage(step)))  # y gradient
+        assert set(ys.tolist()) == {bright}
+
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         px = rng.integers(0, 256, size=(30, 30), dtype=np.uint8)
@@ -174,6 +210,70 @@ class TestAutoCanny:
         wide = auto_canny(img, sigma=0.5).sum()
         narrow = auto_canny(img, sigma=0.1).sum()
         assert wide >= narrow
+
+
+def blocks(h, w, base, *rects):
+    """uint8 image of ``base`` with each (y0, y1, x0, x1, value) rectangle
+    painted over it, inclusive bounds."""
+    px = np.full((h, w), base, dtype=np.uint8)
+    for y0, y1, x0, x1, value in rects:
+        px[y0:y1 + 1, x0:x1 + 1] = value
+    return px
+
+
+def _canny_matches_reference(px):
+    edges = auto_canny(GrayImage(px))
+    assert np.array_equal(edges, oracles.canny(px, DEFAULT_CANNY_SIGMA))
+    return edges
+
+
+class TestCannyHysteresisAgainstReference:
+    """Hysteresis links weak pixels by their flat indices, so these scenes put
+    chains next to each other in raster order but not in the image. On a
+    median-100 frame a step of 40 is strong and a step of 20 is only weak."""
+
+    # (upper block, lower block, its chain's pixel, the other chain's pixel):
+    # the two pixels are 1, w - 1 and w + 1 apart in raster order.
+    WRAPS = {
+        "row end to next row start": ((0, 5, 8, 15), (6, 11, 0, 4), (5, 15), (6, 0)),
+        "row start to same row end": ((0, 5, 0, 4), (0, 5, 11, 15), (5, 0), (5, 15)),
+        "row end to start two rows down": ((0, 5, 8, 15), (7, 11, 0, 4), (5, 15), (7, 0)),
+    }
+
+    @pytest.mark.parametrize("wrap", sorted(WRAPS))
+    @pytest.mark.parametrize("strong_first", [True, False])
+    def test_chains_across_a_row_wrap_stay_separate(self, wrap, strong_first):
+        a, b, a_px, b_px = self.WRAPS[wrap]
+        steps = (140, 120) if strong_first else (120, 140)
+        px = blocks(12, 16, 100, (*a, steps[0]), (*b, steps[1]))
+        edges = _canny_matches_reference(px)
+        strong_px, weak_px = (a_px, b_px) if strong_first else (b_px, a_px)
+        _, _, mag = oracles.sobel(px)
+        assert 67 < mag[weak_px] <= 133  # a candidate, dropped by hysteresis
+        assert edges[strong_px] and not edges[weak_px]
+
+    def test_corner_only_join_is_kept(self):
+        # On a median-125 frame the weak left side of the 150 block meets its
+        # strong bottom side only at a corner; the weak side is kept.
+        px = blocks(12, 16, 125, (0, 5, 8, 15, 150), (6, 11, 8, 15, 100))
+        edges = _canny_matches_reference(px)
+        _, _, mag = oracles.sobel(px)
+        assert edges[0:5, 7].all() and np.all(mag[0:5, 7] <= 166)
+        assert edges[5, 8] and mag[5, 8] <= 166 and mag[5, 9] > 166
+        assert not edges[4, 8] and not edges[5, 7]  # no 4-connected link
+
+    def test_one_strong_pixel_keeps_its_whole_chain(self):
+        # A weak vertical step on a median-125 frame yields no edges; one
+        # brighter pixel makes a single strong pixel, and the chain stays.
+        plain = blocks(14, 16, 125, (0, 13, 10, 15, 150))
+        assert not _canny_matches_reference(plain).any()
+        bump = blocks(14, 16, 125, (0, 13, 10, 15, 150), (6, 6, 10, 10, 190))
+        edges = _canny_matches_reference(bump)
+        _, _, mag = oracles.sobel(bump)
+        assert np.count_nonzero(edges & (mag > 166)) == 1
+        expected = np.zeros_like(edges)
+        expected[:, 9] = True
+        assert np.array_equal(edges, expected)
 
 
 class TestFindContours:
@@ -260,6 +360,21 @@ class TestFindContoursAgainstFullFrameReference:
             e[42 - i, 25 - i] = e[42 - i, 25 + i] = True
         e |= ring_bitmap(50, 50, 24, 32, 20, 30)
         _assert_matches_reference(e)
+
+    def test_region_boxes_from_runs(self):
+        # Filled shapes outlined side by side: a plus whose arms touch its box
+        # on all four sides, each at mid-side; a U whose arm rows hold two
+        # runs of one region; and a band slanting right whose leftmost pixel
+        # is in its last row and rightmost in its first.
+        mask = np.zeros((60, 170), dtype=bool)
+        mask[22:38, 4:56] = mask[4:56, 22:38] = True
+        mask[4:56, 60:100] = True
+        mask[4:36, 72:88] = False
+        for i in range(44):
+            mask[8 + i, 160 - i // 2 - 24:160 - i // 2] = True
+        e = mask & ~ndimage.binary_erosion(mask)
+        _assert_matches_reference(e)
+        assert len(find_contours(e)) == 3
 
     def test_holes_are_eight_connected(self):
         # Parts of the rest of this region's box meet its outside only at a
