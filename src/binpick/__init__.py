@@ -11,9 +11,8 @@ from .core import (
     PlaneModel,
     Point3,
     RigidTransform,
-    apply_transform,
     normalize_plane,
-    plane_signed_distance,
+    plane_signed_distances,
 )
 from .segmentation import (
     BinaryMask,
@@ -29,18 +28,15 @@ from .segmentation import (
 )
 from .fusion import Homography, MaskedCluster, estimate_homography, map_mask_to_cloud
 from .conditioning import (
-    NeighborIndex,
     NormalField,
     compute_normal_field,
     don_filter,
-    estimate_normal,
     mls_resample,
     statistical_outlier_removal,
     voxel_grid_downsample,
 )
 from .clustering import ClusterLabels, CondensedTree, core_distances, hdbscan
 from .planes import (
-    PlaneGroup,
     SegmentedPlane,
     check_overlapping,
     extract_planes_iterative,
@@ -53,7 +49,6 @@ from .pose import (
     estimate_pose,
     euler_zyx_from_rotation,
     euler_zyx_to_rotation,
-    mean_shift_centroid,
 )
 from .synth import (
     BoxSpec,

@@ -5,8 +5,8 @@ outlier removal, moving-least-squares resampling, then a two-radius
 difference-of-normals filter that strips edge and corner points so plane
 fitting only sees flat face interiors.
 
-Per-point computations are pure over a frozen index; sums run in kd-tree pair
-order, deterministic for a given input.
+Per-point computations read one kd-tree over their input; sums run in kd-tree
+pair order, deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -16,44 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateNeighborhoodError, InsufficientNeighborsError
-
 DEFAULT_SOR_K = 8
 DEFAULT_SOR_ALPHA = 1.0
 DEFAULT_DON_THRESHOLD = 0.25
 DEFAULT_MLS_ORDER = 2
 
 _SENSOR_ORIGIN = np.zeros(3)
-
-
-class NeighborIndex:
-    """Exact k-nearest and radius queries over a fixed point set.
-
-    Backed by a kd-tree; results match brute-force search exactly.
-    """
-
-    def __init__(self, points: np.ndarray):
-        self.points = np.asarray(points, dtype=float).reshape(-1, 3)
-        self._tree = cKDTree(self.points) if len(self.points) else None
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def k_nearest(self, query, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Distances and indices of the k closest stored points, nearest first."""
-        if self._tree is None or k < 1 or k > len(self.points):
-            raise ValueError(f"k={k} out of range for {len(self.points)} points")
-        d, i = self._tree.query(np.asarray(query, dtype=float), k=k)
-        if np.ndim(d) == 0:
-            d, i = np.array([d]), np.array([i])
-        return np.atleast_1d(d), np.atleast_1d(i)
-
-    def radius(self, query, r: float) -> np.ndarray:
-        """Indices of stored points within distance r, ascending index order."""
-        if self._tree is None:
-            return np.array([], dtype=np.int64)
-        idx = self._tree.query_ball_point(np.asarray(query, dtype=float), r=r)
-        return np.sort(np.asarray(idx, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -214,33 +182,6 @@ def mls_resample(points: np.ndarray, radius: float,
                 + vp[:, None] * radius * evecs[..., 1]
                 + fit_h[:, None] * evecs[..., 0])[act]
     return out
-
-
-def _pca_normal(neighborhood: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest-eigenvector normal of a neighborhood; returns (normal, eigenvalues)."""
-    centroid = neighborhood.mean(0)
-    rel = neighborhood - centroid
-    cov = rel.T @ rel / len(neighborhood)
-    evals, evecs = np.linalg.eigh(cov)
-    return evecs[:, 0], evals
-
-
-def estimate_normal(points: np.ndarray, index: NeighborIndex, p,
-                    radius: float, viewpoint=_SENSOR_ORIGIN) -> np.ndarray:
-    """Unit surface normal at p from the PCA of its radius neighborhood,
-    oriented to point toward the viewpoint (the sensor origin by default)."""
-    p = np.asarray(p, dtype=float).reshape(3)
-    nbr_idx = index.radius(p, radius)
-    if len(nbr_idx) < 3:
-        raise InsufficientNeighborsError(
-            f"normal estimation needs >= 3 neighbors within {radius}, got {len(nbr_idx)}")
-    normal, evals = _pca_normal(index.points[nbr_idx])
-    if evals[2] <= 0 or evals[1] <= 1e-9 * evals[2]:
-        raise DegenerateNeighborhoodError("neighborhood is collinear or coincident")
-    view = np.asarray(viewpoint, dtype=float).reshape(3)
-    if normal @ (view - p) < 0:
-        normal = -normal
-    return normal
 
 
 def _batched_normals(points: np.ndarray, tree: cKDTree, radius: float,

@@ -38,14 +38,11 @@ class OrganizedCloud:
 
     ``points`` has shape (height, width, 3) and ``valid`` shape (height, width);
     entries with ``valid == False`` hold no meaningful coordinates and must never
-    reach downstream math. The default sensor geometry is 224x172.
+    reach downstream math.
     """
 
     points: np.ndarray
     valid: np.ndarray
-
-    DEFAULT_WIDTH = 224
-    DEFAULT_HEIGHT = 172
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -180,17 +177,6 @@ def normalize_plane(raw) -> PlaneModel:
     return PlaneModel(*(float(v) for v in coeffs))
 
 
-def plane_signed_distance(plane: PlaneModel, p) -> float:
-    """Signed distance a*x + b*y + c*z + d of a point from a normalized plane."""
-    pt = p.as_array() if isinstance(p, Point3) else np.asarray(p, dtype=float)
-    return float(pt @ plane.normal + plane.d)
-
-
 def plane_signed_distances(plane: PlaneModel, points: np.ndarray) -> np.ndarray:
-    """Vectorized signed distances for an (n, 3) array."""
+    """Signed distances a*x + b*y + c*z + d of an (n, 3) or (3,) array of points."""
     return np.asarray(points, dtype=float) @ plane.normal + plane.d
-
-
-def apply_transform(t: RigidTransform, p: Point3) -> Point3:
-    """R*p + translation."""
-    return Point3.from_array(t.apply_array(p.as_array()))

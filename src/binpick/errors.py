@@ -11,11 +11,3 @@ class InputError(ValueError):
 
 class EmptyClusterError(ValueError):
     """A mask projected onto the cloud selected no valid depth points."""
-
-
-class InsufficientNeighborsError(ValueError):
-    """A neighborhood query returned too few points for the requested fit."""
-
-
-class DegenerateNeighborhoodError(ValueError):
-    """Neighborhood points are collinear (or coincident); no surface normal exists."""

@@ -169,7 +169,7 @@ def read_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read JSON {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object")

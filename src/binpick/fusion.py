@@ -30,6 +30,8 @@ class Homography:
         if abs(h[2, 2]) < 1e-12:
             raise ValueError("homography h[2][2] must be nonzero")
         h = h / h[2, 2]
+        if not np.isfinite(h).all():
+            raise ValueError("homography entries must be finite after scaling h[2][2] to 1")
         if abs(np.linalg.det(h)) < 1e-12:
             raise ValueError("homography must be invertible")
         object.__setattr__(self, "h", h)
@@ -59,10 +61,9 @@ def _homogeneous(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MaskedCluster:
-    """Valid cloud points selected by one mask, tagged with the mask's role."""
+    """Valid cloud points selected by one mask."""
 
     points: np.ndarray
-    source_mask_role: str
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).reshape(-1, 3)
@@ -155,5 +156,4 @@ def map_mask_to_cloud(mask: BinaryMask, homography: Homography,
     cells = np.flatnonzero(hit)
     if len(cells) == 0:
         raise EmptyClusterError("mask covers no valid depth points")
-    points = cloud.points.reshape(-1, 3)[cells]
-    return MaskedCluster(points=points, source_mask_role=mask.role)
+    return MaskedCluster(points=cloud.points.reshape(-1, 3)[cells])

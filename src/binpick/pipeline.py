@@ -12,6 +12,7 @@ Reported timing covers computation only; sensor acquisition is not modeled.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields as dataclass_fields
 
@@ -71,11 +72,6 @@ class PipelineConfig:
     merge_angle_tol_deg: float = planes.DEFAULT_MERGE_ANGLE_TOL_DEG
     merge_centroid_thresh_m: float = planes.DEFAULT_CENTROID_THRESH
     merge_perp_thresh_m: float = planes.DEFAULT_PERP_THRESH
-    # Wider than any pickable face: the flat-kernel window then covers the
-    # whole plane patch and the mode settles at its mean in one step. Narrow
-    # windows walk along a tilted face's residual sampling gradient in lattice
-    # sized jumps that never drop below the convergence threshold.
-    mean_shift_bandwidth_m: float = 0.2
     seed: int = 0
     homography: Homography | None = None
 
@@ -87,6 +83,10 @@ class PipelineConfig:
                 continue
             if not _is_integer(value):
                 raise ConfigError(f"{name} must be an integer, not {value!r}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(c, name)
+            if not _is_finite(value):
+                raise ConfigError(f"{name} must be a finite number, not {value!r}")
         checks = [
             (c.canny_sigma > 0, "canny_sigma must be positive"),
             (c.min_contour_area >= 0, "min_contour_area cannot be negative"),
@@ -107,7 +107,7 @@ class PipelineConfig:
             (c.merge_angle_tol_deg > 0, "merge_angle_tol_deg must be positive"),
             (c.merge_centroid_thresh_m > 0, "merge_centroid_thresh_m must be positive"),
             (c.merge_perp_thresh_m > 0, "merge_perp_thresh_m must be positive"),
-            (c.mean_shift_bandwidth_m > 0, "mean_shift_bandwidth_m must be positive"),
+            (c.seed >= 0, "seed cannot be negative"),
         ]
         if c.roi is not None:
             if len(c.roi) != 4 or not all(_is_integer(v) for v in c.roi):
@@ -125,10 +125,19 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """A number that converts to a finite float (an int too large for one does not)."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 _CONFIG_FIELDS = {f.name for f in dataclass_fields(PipelineConfig)} - {"homography"}
 # Integer fields -> whether None is allowed; bools and floats are rejected.
 _INT_FIELDS = {f.name: f.type == "int | None" for f in dataclass_fields(PipelineConfig)
                if f.type in ("int", "int | None")}
+_FLOAT_FIELDS = [f.name for f in dataclass_fields(PipelineConfig) if f.type == "float"]
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
@@ -152,7 +161,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
         return PipelineConfig(**kwargs).validate()
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
@@ -293,7 +302,6 @@ def _detect(config: PipelineConfig, cloud: OrganizedCloud, segment) -> Detection
                 dist_thresh=config.ransac_dist_thresh_m,
                 max_iter=config.ransac_iterations,
                 seed=rng,
-                source_cluster=cluster_id,
             ))
         merged = planes.group_and_merge_planes(
             mask_planes, config.merge_angle_tol_deg,
@@ -304,8 +312,7 @@ def _detect(config: PipelineConfig, cloud: OrganizedCloud, segment) -> Detection
 
         t0 = time.perf_counter()
         for plane in merged:
-            poses.append(pose.estimate_pose(plane, mask.role,
-                                            bandwidth=config.mean_shift_bandwidth_m))
+            poses.append(pose.estimate_pose(plane, mask.role))
         seconds["pose_estimation"] += time.perf_counter() - t0
 
     poses.sort(key=lambda p: 0 if p.priority == "child" else 1)

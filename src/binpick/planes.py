@@ -31,24 +31,14 @@ _MAX_FIT_ATTEMPTS = 25
 
 @dataclass
 class SegmentedPlane:
-    """A fitted plane with its inlier points and the cluster it came from."""
+    """A fitted plane with its inlier points."""
 
     points: np.ndarray
     model: PlaneModel
-    source_cluster: int = 0
-    inlier_indices: np.ndarray | None = None
 
     @property
     def centroid(self) -> np.ndarray:
         return self.points.mean(axis=0)
-
-
-@dataclass
-class PlaneGroup:
-    """Indices of planes judged to belong to one surface, plus their joint refit."""
-
-    member_indices: list[int]
-    merged: SegmentedPlane
 
 
 def fit_plane_pca(points: np.ndarray) -> PlaneModel:
@@ -119,8 +109,7 @@ def extract_planes_iterative(points: np.ndarray, *,
                              min_object_size: int = DEFAULT_MIN_OBJECT_SIZE,
                              dist_thresh: float = DEFAULT_RANSAC_DIST_THRESH,
                              max_iter: int = DEFAULT_RANSAC_ITERATIONS,
-                             seed=0,
-                             source_cluster: int = 0) -> list[SegmentedPlane]:
+                             seed=0) -> list[SegmentedPlane]:
     """Repeatedly fit and remove planes from one cluster.
 
     A fit is accepted when its inlier count reaches min_object_size and its
@@ -148,10 +137,7 @@ def extract_planes_iterative(points: np.ndarray, *,
         if prev_model is not None and _same_model(model, prev_model, dist_thresh):
             break
         if len(inliers) >= min_object_size and model.d >= dist_thresh:
-            chosen = active[inliers]
-            planes.append(SegmentedPlane(points=pts[chosen], model=model,
-                                         source_cluster=source_cluster,
-                                         inlier_indices=chosen))
+            planes.append(SegmentedPlane(points=pts[active[inliers]], model=model))
             active = np.delete(active, inliers)
             prev_model = model
     return planes
@@ -174,22 +160,25 @@ def check_overlapping(p1: SegmentedPlane, p2: SegmentedPlane,
     return perp < perp_thresh
 
 
-def group_planes(planes: list[SegmentedPlane],
-                 angle_tol_deg: float = DEFAULT_MERGE_ANGLE_TOL_DEG,
-                 centroid_thresh: float = DEFAULT_CENTROID_THRESH,
-                 perp_thresh: float = DEFAULT_PERP_THRESH) -> list[PlaneGroup]:
-    """Greedy grouping in input order: each unvisited plane seeds a group and
+def group_and_merge_planes(planes: list[SegmentedPlane],
+                           angle_tol_deg: float = DEFAULT_MERGE_ANGLE_TOL_DEG,
+                           centroid_thresh: float = DEFAULT_CENTROID_THRESH,
+                           perp_thresh: float = DEFAULT_PERP_THRESH) -> list[SegmentedPlane]:
+    """Unique planes after grouping overlapping coplanar fragments, seed order.
+
+    Greedy grouping in input order: each unvisited plane seeds a group and
     absorbs every later plane that is near-parallel (absolute dot within the
     angle tolerance, so sign-flipped duplicates still match) and overlapping
-    with the seed. Each group is refit over the union of member points."""
+    with the seed. A group of several planes is refit over the union of their
+    points; a lone plane passes through as it is.
+    """
     cos_tol = np.cos(np.radians(angle_tol_deg))
     visited = [False] * len(planes)
-    groups: list[PlaneGroup] = []
+    merged: list[SegmentedPlane] = []
     for m, seed_plane in enumerate(planes):
         if visited[m]:
             continue
-        visited[m] = True
-        members = [m]
+        members = [seed_plane]
         for n in range(m + 1, len(planes)):
             if visited[n]:
                 continue
@@ -197,22 +186,10 @@ def group_planes(planes: list[SegmentedPlane],
             if dot >= cos_tol and check_overlapping(seed_plane, planes[n],
                                                     centroid_thresh, perp_thresh):
                 visited[n] = True
-                members.append(n)
+                members.append(planes[n])
         if len(members) == 1:
-            merged = SegmentedPlane(points=seed_plane.points, model=seed_plane.model,
-                                    source_cluster=seed_plane.source_cluster)
+            merged.append(seed_plane)
         else:
-            union = np.vstack([planes[i].points for i in members])
-            merged = SegmentedPlane(points=union, model=fit_plane_pca(union),
-                                    source_cluster=seed_plane.source_cluster)
-        groups.append(PlaneGroup(member_indices=members, merged=merged))
-    return groups
-
-
-def group_and_merge_planes(planes: list[SegmentedPlane],
-                           angle_tol_deg: float = DEFAULT_MERGE_ANGLE_TOL_DEG,
-                           centroid_thresh: float = DEFAULT_CENTROID_THRESH,
-                           perp_thresh: float = DEFAULT_PERP_THRESH) -> list[SegmentedPlane]:
-    """Unique planes after grouping overlapping coplanar fragments, seed order."""
-    return [g.merged for g in group_planes(planes, angle_tol_deg,
-                                           centroid_thresh, perp_thresh)]
+            union = np.vstack([p.points for p in members])
+            merged.append(SegmentedPlane(points=union, model=fit_plane_pca(union)))
+    return merged

@@ -1,4 +1,8 @@
-"""6DoF grasp pose per plane: mean-shift centroid, reference frame, Z-Y-X Euler angles.
+"""6DoF grasp pose per plane: inlier-mean centroid, reference frame, Z-Y-X Euler angles.
+
+The centroid is the mean of the plane's inliers. The paper takes a flat-kernel
+mean-shift mode; with a window wider than any pickable face that mode is the
+mean after one step, so the mean is taken directly.
 
 The grasp frame's z-axis is the suction approach direction (the plane normal
 negated, since plane normals face the sensor), its x-axis is the sensor X axis
@@ -18,9 +22,6 @@ import numpy as np
 from .core import EulerZYX, PlaneModel, Point3
 from .planes import SegmentedPlane
 
-DEFAULT_MEAN_SHIFT_BANDWIDTH = 0.025
-_SHIFT_CONVERGENCE = 1e-4  # 0.1 mm
-_MAX_SHIFT_ITERATIONS = 100
 _GIMBAL_EPS = 1e-9
 
 
@@ -39,39 +40,12 @@ class Pose6DoF:
             raise ValueError("priority must be 'child' or 'parent'")
 
 
-def mean_shift_centroid(points: np.ndarray, bandwidth: float = DEFAULT_MEAN_SHIFT_BANDWIDTH
-                        ) -> Point3:
-    """Flat-kernel mean-shift mode of a point set, started from the arithmetic mean.
-
-    Iterates the mean of all points within the bandwidth until the shift drops
-    below 0.1 mm or 100 iterations. If the window ever empties (the running
-    estimate drifted away from all points), the current estimate is returned.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    if len(pts) == 0:
-        raise ValueError("mean shift needs at least one point")
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
-    m = pts.mean(0)
-    for _ in range(_MAX_SHIFT_ITERATIONS):
-        window = pts[np.linalg.norm(pts - m, axis=1) <= bandwidth]
-        if len(window) == 0:
-            break
-        new = window.mean(0)
-        shift = np.linalg.norm(new - m)
-        m = new
-        if shift < _SHIFT_CONVERGENCE:
-            break
-    return Point3.from_array(m)
-
-
-def build_frame(normal, centroid: Point3 | None = None) -> np.ndarray:
+def build_frame(normal) -> np.ndarray:
     """Rotation matrix whose columns are the grasp-frame axes in sensor coordinates.
 
     The z-axis is the given unit normal; the x-axis is the normalized projection
     of the sensor X axis onto the plane (sensor Y when the normal is parallel to
-    X within 1e-6); y completes the right-handed frame. ``centroid`` is the
-    frame origin and does not affect the rotation.
+    X within 1e-6); y completes the right-handed frame.
     """
     z = np.asarray(normal, dtype=float).reshape(3)
     if abs(np.linalg.norm(z) - 1.0) > 1e-9:
@@ -123,20 +97,15 @@ def euler_zyx_to_rotation(euler: EulerZYX) -> np.ndarray:
     ])
 
 
-def estimate_pose(plane: SegmentedPlane, priority: str, *,
-                  bandwidth: float = DEFAULT_MEAN_SHIFT_BANDWIDTH) -> Pose6DoF:
-    """Pose of one plane: mean-shift centroid plus the grasp-frame orientation.
+def estimate_pose(plane: SegmentedPlane, priority: str) -> Pose6DoF:
+    """Pose of one plane: inlier-mean centroid plus the grasp-frame orientation.
 
     The approach axis handed to the frame builder is the plane normal negated:
     plane normals face the sensor, the suction cup travels the opposite way.
     """
     if len(plane.points) == 0:
         raise ValueError("plane has no inlier points")
-    centroid = mean_shift_centroid(plane.points, bandwidth)
-    approach = -plane.model.normal
-    rot = build_frame(approach, centroid)
-    euler = euler_zyx_from_rotation(rot)
-    mm = centroid.as_array() * 1000.0
-    return Pose6DoF(centroid_mm=Point3.from_array(mm), euler=euler,
+    return Pose6DoF(centroid_mm=Point3.from_array(plane.points.mean(0) * 1000.0),
+                    euler=euler_zyx_from_rotation(build_frame(-plane.model.normal)),
                     plane=plane.model, inlier_count=len(plane.points),
                     priority=priority)

@@ -476,7 +476,7 @@ def load_scene(path) -> SceneSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read scene file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("scene file must hold a JSON object")

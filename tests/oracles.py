@@ -20,13 +20,6 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 
-def brute_knn(points: np.ndarray, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k nearest stored points to the query, ordered by (distance, index)."""
-    d = np.linalg.norm(points - query, axis=1)
-    order = np.lexsort((np.arange(len(points)), d))[:k]
-    return d[order], order
-
-
 def brute_radius(points: np.ndarray, query: np.ndarray, r: float) -> np.ndarray:
     d = np.linalg.norm(points - query, axis=1)
     return np.flatnonzero(d <= r)
@@ -134,25 +127,6 @@ def weighted_poly2_height_fit(rel_uvh: np.ndarray, weights: np.ndarray,
     ue, ve = eval_uv
     terms = np.array([1.0, ue, ve, ue * ue, ue * ve, ve * ve])
     return float(terms @ coeff)
-
-
-def flat_kernel_density_argmax(points: np.ndarray, bandwidth: float,
-                               grid_step: float) -> np.ndarray:
-    """Argmax of the flat-kernel point count over a regular grid spanning the data."""
-    lo = points.min(0)
-    hi = points.max(0)
-    axes = [np.arange(lo[i], hi[i] + grid_step, grid_step) for i in range(3)]
-    best_count = -1
-    best = None
-    for x in axes[0]:
-        for y in axes[1]:
-            for z in axes[2]:
-                q = np.array([x, y, z])
-                count = int((np.linalg.norm(points - q, axis=1) <= bandwidth).sum())
-                if count > best_count:
-                    best_count = count
-                    best = q
-    return best
 
 
 def correlate_3x3_replicated(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:

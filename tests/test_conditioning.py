@@ -4,20 +4,17 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from binpick.conditioning import (
-    NeighborIndex,
     _batched_normals,
     _radius_pairs,
     compute_normal_field,
     don_filter,
-    estimate_normal,
     mls_resample,
     statistical_outlier_removal,
     voxel_grid_downsample,
 )
-from binpick.errors import DegenerateNeighborhoodError, InsufficientNeighborsError
 
 from . import oracles
-from .oracles import brute_knn, brute_radius, lsq_plane, weighted_poly2_height_fit
+from .oracles import brute_radius, lsq_plane, weighted_poly2_height_fit
 
 
 def planar_grid(nx, ny, pitch, z=0.0):
@@ -25,28 +22,6 @@ def planar_grid(nx, ny, pitch, z=0.0):
     ys = np.arange(ny) * pitch
     xx, yy = np.meshgrid(xs, ys)
     return np.column_stack([xx.ravel(), yy.ravel(), np.full(xx.size, z)])
-
-
-class TestNeighborIndex:
-    def test_matches_brute_force_knn_and_radius(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            n = rng.integers(5, 200)
-            pts = rng.uniform(-1, 1, size=(n, 3))
-            index = NeighborIndex(pts)
-            q = rng.uniform(-1, 1, size=3)
-            k = int(rng.integers(1, n))
-            d, i = index.k_nearest(q, k)
-            od, oi = brute_knn(pts, q, k)
-            assert np.array_equal(i, oi)
-            assert d == pytest.approx(od)
-            r = float(rng.uniform(0.1, 1.0))
-            assert np.array_equal(index.radius(q, r), brute_radius(pts, q, r))
-
-    def test_k_out_of_range(self):
-        index = NeighborIndex(np.zeros((4, 3)))
-        with pytest.raises(ValueError):
-            index.k_nearest(np.zeros(3), 5)
 
 
 class TestVoxelGrid:
@@ -178,40 +153,41 @@ class TestMlsResample:
 
 
 class TestEstimateNormal:
+    """Normals at single points, read off compute_normal_field's small radius."""
+
     def test_plane_normal_toward_origin_viewpoint(self):
         pts = planar_grid(6, 6, 0.01, z=1.0)
-        index = NeighborIndex(pts)
-        n = estimate_normal(pts, index, pts[14], radius=0.03, viewpoint=np.zeros(3))
-        assert n == pytest.approx([0, 0, -1], abs=1e-9)
+        field = compute_normal_field(pts, 0.03, 0.05, viewpoint=np.zeros(3))
+        assert field.defined[14]
+        assert field.n_small[14] == pytest.approx([0, 0, -1], abs=1e-9)
 
     def test_viewpoint_flip(self):
         pts = planar_grid(6, 6, 0.01, z=1.0)
-        index = NeighborIndex(pts)
-        n = estimate_normal(pts, index, pts[14], radius=0.03,
-                            viewpoint=np.array([0, 0, 10.0]))
-        assert n == pytest.approx([0, 0, 1], abs=1e-9)
+        field = compute_normal_field(pts, 0.03, 0.05, viewpoint=np.array([0, 0, 10.0]))
+        assert field.defined[14]
+        assert field.n_small[14] == pytest.approx([0, 0, 1], abs=1e-9)
 
     def test_too_few_neighbors(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0.0]])
-        index = NeighborIndex(pts)
-        with pytest.raises(InsufficientNeighborsError):
-            estimate_normal(pts, index, pts[0], radius=0.1)
+        field = compute_normal_field(pts, 0.1, 0.2)
+        assert not field.defined.any()
+        assert not field.n_small.any() and not field.don.any()
 
     def test_collinear_neighborhood(self):
         pts = np.column_stack([np.linspace(0, 1, 10), np.zeros(10), np.zeros(10)])
-        index = NeighborIndex(pts)
-        with pytest.raises(DegenerateNeighborhoodError):
-            estimate_normal(pts, index, pts[5], radius=0.5)
+        field = compute_normal_field(pts, 0.5, 0.6)
+        assert not field.defined.any()
+        assert not field.n_small.any() and not field.don.any()
 
     def test_residual_rms_equals_sqrt_smallest_eigenvalue(self):
         rng = np.random.default_rng(6)
         pts = planar_grid(7, 7, 0.01)
         pts[:, 2] += rng.normal(0, 0.001, size=len(pts))
-        index = NeighborIndex(pts)
-        p = pts[24]
         radius = 0.05
-        n = estimate_normal(pts, index, p, radius)
-        nb = pts[brute_radius(pts, p, radius)]
+        field = compute_normal_field(pts, radius, 0.06)
+        assert field.defined[24]
+        n = field.n_small[24]
+        nb = pts[brute_radius(pts, pts[24], radius)]
         centroid = nb.mean(0)
         rel = nb - centroid
         rms = np.sqrt(((rel @ n) ** 2).mean())

@@ -7,9 +7,8 @@ from binpick.core import (
     PlaneModel,
     Point3,
     RigidTransform,
-    apply_transform,
     normalize_plane,
-    plane_signed_distance,
+    plane_signed_distances,
 )
 
 
@@ -46,15 +45,15 @@ class TestNormalizePlane:
 class TestPlaneSignedDistance:
     def test_above_plane(self):
         plane = normalize_plane((0, 0, 1, 0))
-        assert plane_signed_distance(plane, Point3(0, 0, 0.5)) == pytest.approx(0.5)
+        assert plane_signed_distances(plane, [0, 0, 0.5]) == pytest.approx(0.5)
 
     def test_on_plane(self):
         plane = normalize_plane((0, 0, 1, 0))
-        assert plane_signed_distance(plane, Point3(1, 2, 0)) == pytest.approx(0.0)
+        assert plane_signed_distances(plane, [1, 2, 0]) == pytest.approx(0.0)
 
     def test_hand_arithmetic(self):
         plane = PlaneModel(0.6, 0.0, 0.8, 2.0)
-        assert plane_signed_distance(plane, Point3(1, 0, 1)) == pytest.approx(3.4)
+        assert plane_signed_distances(plane, [[1, 0, 1], [0, 0, 0]]) == pytest.approx([3.4, 2.0])
 
     def test_points_on_random_planes(self):
         rng = np.random.default_rng(11)
@@ -70,23 +69,23 @@ class TestPlaneSignedDistance:
             u /= np.linalg.norm(u)
             v = np.cross(n, u)
             p = base + rng.normal() * u + rng.normal() * v
-            assert abs(plane_signed_distance(plane, Point3(*p))) < 1e-9
+            assert abs(plane_signed_distances(plane, p)) < 1e-9
 
 
 class TestApplyTransform:
     def test_identity(self):
         t = RigidTransform.identity()
-        assert apply_transform(t, Point3(1, 2, 3)) == Point3(1, 2, 3)
+        assert np.array_equal(t.apply_array([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
     def test_pure_translation(self):
         t = RigidTransform(np.eye(3), Point3(0, 0, 1))
-        assert apply_transform(t, Point3(0, 0, 0)) == Point3(0, 0, 1)
+        assert np.array_equal(t.apply_array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]),
+                              [[0.0, 0.0, 1.0], [1.0, 2.0, 4.0]])
 
     def test_quarter_turn_about_z(self):
         rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         t = RigidTransform(rot, Point3(0, 0, 0))
-        moved = apply_transform(t, Point3(1, 0, 0))
-        assert moved.as_array() == pytest.approx([0, 1, 0])
+        assert t.apply_array([1.0, 0.0, 0.0]) == pytest.approx([0, 1, 0])
 
     def test_preserves_pairwise_distances(self):
         rng = np.random.default_rng(3)

@@ -75,7 +75,6 @@ class TestMapMaskToCloud:
         mask = BinaryMask(bits=np.ones((6, 8), dtype=bool), role="parent")
         out = map_mask_to_cloud(mask, Homography(np.eye(3)), cloud)
         assert len(out.points) == 48
-        assert out.source_mask_role == "parent"
 
     def test_empty_mask_raises(self):
         cloud = full_valid_cloud()

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import binpick
 from binpick.core import OrganizedCloud
@@ -95,6 +96,56 @@ class TestConfig:
     def test_bad_homography_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"rgb_to_depth_homography": [1, 2, 3]})
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("doc", [
+        {"seed": -1}, {"mls_radius_m": float("inf")}, {"canny_sigma": float("nan")},
+        {"merge_angle_tol_deg": 10**400}, {"sor_alpha": "1.0"}, {"voxel_leaf_m": None},
+        {"rgb_to_depth_homography": [1, 0, 0, 0, 1, 0, 0, 0, float("inf")]},
+        {"rgb_to_depth_homography": [10**400, 0, 0, 0, 1, 0, 0, 0, 1]},
+        {"rgb_to_depth_homography": [1e308, 0, 0, 0, 1, 0, 0, 0, 1e-11]},
+    ], ids=["negative-seed", "inf", "nan", "int-beyond-float", "string", "null",
+            "homography-inf", "homography-int-beyond-float", "homography-overflow"])
+    def test_negative_seed_and_non_finite_numbers_rejected(self, doc):
+        with pytest.raises(ConfigError):
+            config_from_dict(doc)
+
+
+# A valid value per config key, so that fuzzed documents are sometimes accepted.
+_VALID_CONFIG = {**config_to_dict(PipelineConfig()), "roi": [0, 0, 64, 48],
+                 "rgb_to_depth_homography": [0.5, 0, 3, 0, 0.5, 7, 0, 0, 1]}
+_FUZZ_LEAF = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.sampled_from([-1, -(10**30), 10**30, 10**400]),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e308]),
+    st.text(max_size=4))
+_FUZZ_VALUE = st.recursive(_FUZZ_LEAF, lambda inner: st.lists(inner, max_size=10),
+                           max_leaves=12)
+
+
+class TestConfigFuzz:
+    """Any JSON document yields a validated config or a ConfigError. Only the
+    config is built: fuzzed sizes such as ransac_iterations are never run."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(),
+           keys=st.lists(st.sampled_from([*_VALID_CONFIG, "not_a_key"]), unique=True))
+    def test_config_or_config_error(self, data, keys):
+        doc = {key: data.draw(st.one_of(st.just(_VALID_CONFIG.get(key)), _FUZZ_VALUE),
+                              label=key)
+               for key in keys}
+        try:
+            config = config_from_dict(doc)
+        except ConfigError:
+            return
+        assert isinstance(config, PipelineConfig)
+        assert "not_a_key" not in doc and config.seed >= 0
+        as_dict = config_to_dict(config)
+        assert all(np.isfinite(v) for v in [*as_dict.values(),
+                                            *as_dict.get("rgb_to_depth_homography", [])]
+                   if isinstance(v, float))
+        assert config_to_dict(config_from_dict(as_dict)) == as_dict
 
 
 class TestRunPipeline:
@@ -526,6 +577,33 @@ class TestCli:
                       "--out", str(tmp_path / "masks"))
         assert out.returncode == 3, out.stderr
         assert "config error" in out.stderr
+
+    @pytest.mark.parametrize("entry", ['"seed": -1', '"mls_radius_m": Infinity',
+                                       '"mls_radius_m": 1e400'],
+                             ids=["negative-seed", "infinity", "overflowing-literal"])
+    def test_out_of_range_config_number_is_config_error(self, workdir, tmp_path, entry):
+        config = json.loads((workdir / "config.json").read_text())
+        (tmp_path / "config.json").write_text(
+            f'{{"rgb_to_depth_homography": {json.dumps(config["rgb_to_depth_homography"])}, '
+            f'{entry}}}')
+        out = run_cli("pipeline", str(workdir / "data" / "image.pgm"),
+                      str(workdir / "data" / "cloud.ply"),
+                      "--config", str(tmp_path / "config.json"))
+        assert out.returncode == 3, out.stderr
+        assert entry.split('"')[1] in out.stderr
+
+    def test_json_that_is_not_utf8_is_input_error(self, workdir, tmp_path):
+        (tmp_path / "bad.json").write_bytes(b"\xff\xfe{}")
+        write_json(tmp_path / "report.json", {"poses": []})
+        bad, report = str(tmp_path / "bad.json"), str(tmp_path / "report.json")
+        truth = str(workdir / "data" / "truth.json")
+        for args in (("pipeline", str(workdir / "data" / "image.pgm"),
+                      str(workdir / "data" / "cloud.ply"), "--config", bad),
+                     ("verify", bad, truth), ("verify", report, bad),
+                     ("synth", bad, "--out", str(tmp_path / "scene"))):
+            out = run_cli(*args)
+            assert out.returncode == 2, (args, out.stderr)
+            assert "input error" in out.stderr
 
     @pytest.mark.parametrize("report, truth_centroid", [
         ({"poses": 5}, [0, 0, 1000]),

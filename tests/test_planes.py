@@ -11,7 +11,6 @@ from binpick.planes import (
     extract_planes_iterative,
     fit_plane_pca,
     group_and_merge_planes,
-    group_planes,
     ransac_plane,
 )
 
@@ -175,11 +174,15 @@ class TestExtractPlanesIterative:
         pts = np.vstack([a, b])
         out = extract_planes_iterative(pts, min_cluster_size=30,
                                        dist_thresh=0.002, seed=2)
-        sets = [set(map(int, p.inlier_indices)) for p in out]
+        assert len(out) == 2
+        row_of = {tuple(p): i for i, p in enumerate(pts)}
+        assert len(row_of) == len(pts)
+        # every plane point is an input row, no row appears twice in a plane
+        sets = [{row_of[tuple(p)] for p in plane.points} for plane in out]
+        assert [len(rows) for rows in sets] == [len(plane.points) for plane in out]
         for i in range(len(sets)):
             for j in range(i + 1, len(sets)):
                 assert sets[i].isdisjoint(sets[j])
-        assert all(idx < len(pts) for s in sets for idx in s)
 
     def test_bit_identical_replay(self):
         rng = np.random.default_rng(9)
@@ -191,7 +194,8 @@ class TestExtractPlanesIterative:
         b = extract_planes_iterative(pts, min_cluster_size=30, seed=11)
         assert len(a) == len(b)
         for pa, pb in zip(a, b):
-            assert np.array_equal(pa.inlier_indices, pb.inlier_indices)
+            assert np.array_equal(pa.points, pb.points)
+            assert np.array_equal(pa.model.coefficients(), pb.model.coefficients())
 
 
 class TestCheckOverlapping:
@@ -224,10 +228,8 @@ class TestGroupAndMerge:
     def test_coplanar_fragments_merge(self):
         rng = np.random.default_rng(13)
         base = plane_patch(rng, 80, [0, 0, 1], -0.5, extent=0.02)
-        frag_a = SegmentedPlane(points=base[:40], model=fit_plane_pca(base[:40]),
-                                source_cluster=0)
-        frag_b = SegmentedPlane(points=base[40:], model=fit_plane_pca(base[40:]),
-                                source_cluster=1)
+        frag_a = SegmentedPlane(points=base[:40], model=fit_plane_pca(base[:40]))
+        frag_b = SegmentedPlane(points=base[40:], model=fit_plane_pca(base[40:]))
         merged = group_and_merge_planes([frag_a, frag_b])
         assert len(merged) == 1
         assert len(merged[0].points) == 80
@@ -275,10 +277,15 @@ class TestGroupAndMerge:
                 assert not (dot >= cos_tol and check_overlapping(merged[i], merged[j]))
 
     def test_groups_checked_against_seed(self):
+        # coplanar patches 40 mm apart in a row: b overlaps a and c, but c
+        # is 80 mm from the seed a, so it starts a group of its own
         rng = np.random.default_rng(17)
-        base = plane_patch(rng, 60, [0, 0, 1], -0.5, extent=0.02)
-        frags = [SegmentedPlane(points=base[i::2], model=fit_plane_pca(base[i::2]))
-                 for i in range(2)]
-        groups = group_planes(frags)
-        assert len(groups) == 1
-        assert groups[0].member_indices == [0, 1]
+        frags = []
+        for shift in (0.0, 0.04, 0.08):
+            pts = plane_patch(rng, 30, [0, 0, 1], -0.5, extent=0.01) + [shift, 0, 0]
+            frags.append(SegmentedPlane(points=pts, model=fit_plane_pca(pts)))
+        merged = group_and_merge_planes(frags)
+        assert len(merged) == 2
+        assert np.array_equal(merged[0].points, np.vstack([frags[0].points, frags[1].points]))
+        assert np.array_equal(merged[1].points, frags[2].points)
+        assert merged[1].model == frags[2].model

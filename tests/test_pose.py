@@ -8,10 +8,7 @@ from binpick.pose import (
     estimate_pose,
     euler_zyx_from_rotation,
     euler_zyx_to_rotation,
-    mean_shift_centroid,
 )
-
-from .oracles import flat_kernel_density_argmax
 
 
 def random_rotation(rng):
@@ -23,34 +20,6 @@ def random_rotation(rng):
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
     ])
-
-
-class TestMeanShiftCentroid:
-    def test_symmetric_grid_converges_to_center(self):
-        xs = np.linspace(-0.05, 0.05, 11)
-        xx, yy = np.meshgrid(xs, xs)
-        pts = np.column_stack([xx.ravel(), yy.ravel(), np.zeros(xx.size)])
-        mode = mean_shift_centroid(pts, bandwidth=0.025)
-        assert np.abs(mode.as_array()).max() < 1e-9
-
-    def test_single_point(self):
-        mode = mean_shift_centroid(np.array([[0.1, 0.2, 0.3]]), bandwidth=0.025)
-        assert mode.as_array() == pytest.approx([0.1, 0.2, 0.3])
-
-    def test_dense_patch_wins_over_sparse_tail(self):
-        rng = np.random.default_rng(0)
-        patch = rng.uniform(-0.009, 0.009, size=(100, 3)) * np.array([1, 1, 0])
-        tail = np.array([[0.08 + 0.004 * i, 0.0, 0.0] for i in range(5)])
-        pts = np.vstack([patch, tail])
-        mode = mean_shift_centroid(pts, bandwidth=0.025).as_array()
-        lo, hi = patch.min(0), patch.max(0)
-        assert (mode >= lo - 1e-12).all() and (mode <= hi + 1e-12).all()
-        grid_mode = flat_kernel_density_argmax(pts, bandwidth=0.025, grid_step=0.004)
-        assert np.linalg.norm(mode - grid_mode) <= 0.025
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            mean_shift_centroid(np.zeros((0, 3)), bandwidth=0.01)
 
 
 class TestBuildFrame:
@@ -161,8 +130,6 @@ class TestEstimatePose:
         return SegmentedPlane(points=pts, model=fit_plane_pca(pts))
 
     def test_horizontal_box_top(self):
-        # 4 mm pitch keeps every grid point strictly off the 25 mm window
-        # boundary, so the flat-kernel window stays symmetric
         xs = np.linspace(-0.048, 0.048, 25)
         xx, yy = np.meshgrid(xs, xs)
         pts = np.column_stack([xx.ravel() + 0.1, yy.ravel() + 0.05,
@@ -206,11 +173,20 @@ class TestEstimatePose:
     def test_centroid_stays_near_plane(self):
         rng = np.random.default_rng(6)
         plane = self._plane(rng, [0.1, 0.2, 1], -0.6)
-        bandwidth = 0.025
-        p = estimate_pose(plane, "parent", bandwidth=bandwidth)
+        p = estimate_pose(plane, "parent")
         centroid_m = p.centroid_mm.as_array() / 1000.0
         dist = abs(float(centroid_m @ plane.model.normal + plane.model.d))
         assert dist < 0.005
-        lo = plane.points.min(0) - 2 * bandwidth
-        hi = plane.points.max(0) + 2 * bandwidth
-        assert ((centroid_m >= lo) & (centroid_m <= hi)).all()
+        assert ((centroid_m >= plane.points.min(0)) & (centroid_m <= plane.points.max(0))).all()
+
+    def test_centroid_is_the_inlier_mean(self):
+        # a dense patch with a sparse tail: the centroid is the plain mean,
+        # pulled toward the tail, not a density mode inside the patch
+        rng = np.random.default_rng(7)
+        patch = self._plane(rng, [0, 0, 1], -0.8, extent=0.01).points
+        tail = np.column_stack([0.08 + 0.004 * np.arange(5), np.zeros(5), np.full(5, 0.8)])
+        plane_points = np.vstack([patch, tail])
+        plane = SegmentedPlane(points=plane_points, model=fit_plane_pca(plane_points))
+        p = estimate_pose(plane, "child")
+        assert np.array_equal(p.centroid_mm.as_array(), plane_points.mean(0) * 1000.0)
+        assert p.centroid_mm.x - patch[:, 0].mean() * 1000.0 > 1.5
