@@ -25,6 +25,7 @@ from .pipeline import (
     segment_image,
     verify_against_ground_truth,
 )
+from .segmentation import PHASES
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -38,10 +39,10 @@ def _load_config(path: str | None) -> PipelineConfig:
 
 
 def _cmd_synth(args) -> int:
-    scene = synth.load_scene(args.scene)
+    data = fileio.read_json(args.scene)
     if args.seed is not None:
-        from dataclasses import replace
-        scene = replace(scene, seed=args.seed)
+        data["seed"] = args.seed
+    scene = synth.scene_from_dict(data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -160,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("segment", help="segment an image into box masks")
     p.add_argument("image", help="PGM/PPM image")
     p.add_argument("--config", default=None, help="pipeline config JSON")
-    p.add_argument("--phase", choices=("child", "parent"), default="parent")
+    p.add_argument("--phase", choices=PHASES, default="parent")
     p.add_argument("--out", required=True, help="output directory for mask PGMs")
     p.set_defaults(func=_cmd_segment)
 
@@ -176,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("image", help="PGM/PPM image")
     p.add_argument("cloud", help="organized PLY cloud")
     p.add_argument("--config", default=None)
-    p.add_argument("--phase", choices=("child", "parent"), default="parent")
+    p.add_argument("--phase", choices=PHASES, default="parent")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="report JSON path")
     p.set_defaults(func=_cmd_pipeline)

@@ -12,7 +12,7 @@ Everything is deterministic: MST ties break toward the lowest point index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -45,28 +45,25 @@ class ClusterLabels:
         return np.flatnonzero(self.labels == cluster_id)
 
 
-@dataclass
-class CondensedNode:
-    """One cluster of the condensed hierarchy.
+@dataclass(frozen=True)
+class CondensedTree:
+    """The condensed hierarchy as arrays indexed by cluster id.
 
-    Densities are lambda = 1/distance; a cluster is born when it splits off its
-    parent and dies when it splits or dissolves. ``stability`` sums, over the
-    cluster's points, the lambda at which each point leaves minus lambda_birth.
+    Cluster 0 is the root (parent -1), every other cluster is numbered after
+    its parent, and each has no children or two. A cluster is born when it
+    splits off its parent, at density lambda_birth (lambda = 1/distance).
+    ``stability`` sums, over its points, the lambda at which each leaves minus
+    lambda_birth. ``label`` is the index in ``selected`` (ascending ids) of
+    the selected cluster at or above each cluster, -1 if none.
     """
 
-    node_id: int
-    parent_id: Optional[int]
-    lambda_birth: float
-    size: int
-    stability: float
-    children: list[int] = field(default_factory=list)
-
-
-@dataclass
-class CondensedTree:
-    nodes: dict[int, CondensedNode]
-    selected: list[int]
-    point_cluster: np.ndarray  # cluster each point departed from
+    parent: np.ndarray
+    lambda_birth: np.ndarray
+    size: np.ndarray
+    stability: np.ndarray
+    selected: np.ndarray
+    label: np.ndarray
+    point_cluster: np.ndarray
 
 
 def core_distances(points: np.ndarray, k: int) -> np.ndarray:
@@ -167,12 +164,9 @@ def _condense(children: np.ndarray, distances: np.ndarray, sizes: np.ndarray,
     merged = children.tolist()
     sizes = sizes.tolist()
 
-    nodes: dict[int, CondensedNode] = {
-        0: CondensedNode(0, None, 0.0, n, 0.0)
-    }
+    parent, lambda_birth, size = [-1], [0.0], [n]
     point_cluster = [0] * n
     point_lambda = [0.0] * n
-    next_id = 1
 
     def leaves_of(node: int) -> list[int]:
         out, stack = [], [node]
@@ -194,65 +188,73 @@ def _condense(children: np.ndarray, distances: np.ndarray, sizes: np.ndarray,
             continue
         left, right = merged[node - n]
         lv = lam[node - n]
-        ls = sizes[left]
-        rs = sizes[right]
+        ls, rs = sizes[left], sizes[right]
 
         if ls >= min_cluster_size and rs >= min_cluster_size:
-            for child, size in ((left, ls), (right, rs)):
-                cid = next_id
-                next_id += 1
-                nodes[cid] = CondensedNode(cid, cluster, lv, size, 0.0)
-                nodes[cluster].children.append(cid)
-                stack.append((child, cid))
+            for child, child_size in ((left, ls), (right, rs)):
+                stack.append((child, len(parent)))
+                parent.append(cluster)
+                lambda_birth.append(lv)
+                size.append(child_size)
         else:
-            for child, size in ((left, ls), (right, rs)):
-                if size >= min_cluster_size:
+            for child, child_size in ((left, ls), (right, rs)):
+                if child_size >= min_cluster_size:
                     stack.append((child, cluster))
                 else:
                     for p in leaves_of(child):
                         point_cluster[p] = cluster
                         point_lambda[p] = lv
 
-    # Stability: each point contributes the density span it stayed a member;
-    # points in child clusters leave at the child's birth density.
-    for cid, lp in zip(point_cluster, point_lambda):
-        c = nodes[cid]
-        c.stability += lp - c.lambda_birth
-    for node in nodes.values():
-        if node.parent_id is not None:
-            nodes[node.parent_id].stability += node.size * (
-                node.lambda_birth - nodes[node.parent_id].lambda_birth)
+    # Stability: each point contributes the density span it stayed a member
+    # (summed in point order), then each child the span its points stayed in
+    # the parent (in ascending child id).
+    point_cluster = np.array(point_cluster, dtype=np.int64)
+    births = np.array(lambda_birth)
+    stability = np.bincount(point_cluster, np.array(point_lambda) - births[point_cluster],
+                            minlength=len(parent)).tolist()
+    for c in range(1, len(parent)):
+        stability[parent[c]] += size[c] * (lambda_birth[c] - lambda_birth[parent[c]])
 
-    return CondensedTree(nodes=nodes, selected=[],
-                         point_cluster=np.array(point_cluster, dtype=np.int64))
+    selected, label = _select_clusters(parent, stability)
+    return CondensedTree(np.array(parent), births, np.array(size), np.array(stability),
+                         np.array(selected), np.array(label), point_cluster)
 
 
-def _select_clusters(tree: CondensedTree) -> list[int]:
+def _select_clusters(parent: list[int], stability: list[float]
+                     ) -> tuple[list[int], list[int]]:
     """Excess-of-mass selection: pick clusters whose own stability beats the sum
     of their descendants'; never pick a cluster together with an ancestor. The
-    root is a valid candidate, so a single compact blob yields one cluster."""
-    nodes = tree.nodes
-    propagated: dict[int, float] = {}
-    chosen: dict[int, bool] = {}
-    for nid in sorted(nodes, reverse=True):
-        node = nodes[nid]
-        child_sum = sum(propagated[c] for c in node.children)
-        if node.children and child_sum > node.stability:
-            propagated[nid] = child_sum
-            chosen[nid] = False
-        else:
-            propagated[nid] = node.stability
-            chosen[nid] = True
+    root is a valid candidate, so a single compact blob yields one cluster.
 
-    selected: list[int] = []
-    stack = [0]
-    while stack:
-        nid = stack.pop()
-        if chosen[nid]:
-            selected.append(nid)
+    Returns (selected ids, cluster labels) as in CondensedTree. Children are
+    numbered after their parent: a descending pass settles both children (a
+    two-term sum, the same in either order) before their parent, an
+    ascending pass a parent before its children.
+    """
+    k = len(parent)
+    child_sum = [0.0] * k
+    chosen = [False] * k
+    for c in range(k - 1, -1, -1):
+        # A leaf's child sum stays 0.0, which never beats a stability: that is
+        # a sum of non-negative density spans.
+        if child_sum[c] > stability[c]:
+            kept = child_sum[c]
         else:
-            stack.extend(nodes[nid].children)
-    return sorted(selected)
+            kept = stability[c]
+            chosen[c] = True
+        if c:
+            child_sum[parent[c]] += kept
+
+    # A chosen cluster is selected unless a chosen ancestor was; everything
+    # under a selected cluster takes its label.
+    selected, label = [], [-1] * k
+    for c in range(k):
+        if c and label[parent[c]] >= 0:
+            label[c] = label[parent[c]]
+        elif chosen[c]:
+            label[c] = len(selected)
+            selected.append(c)
+    return selected, label
 
 
 def condensed_tree(points: np.ndarray, min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE,
@@ -268,17 +270,15 @@ def condensed_tree(points: np.ndarray, min_cluster_size: int = DEFAULT_MIN_CLUST
 
     edges, weights = mutual_reachability_mst(pts, min_samples)
     children, distances, sizes = _single_linkage(edges, weights, n)
-    tree = _condense(children, distances, sizes, n, min_cluster_size)
-    tree.selected = _select_clusters(tree)
-    return tree
+    return _condense(children, distances, sizes, n, min_cluster_size)
 
 
 def hdbscan(points: np.ndarray, min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE,
             min_samples: Optional[int] = None) -> ClusterLabels:
     """Cluster points; fewer than min_cluster_size points are all noise.
 
-    min_samples defaults to min_cluster_size. Labels are assigned by walking
-    each point's departure cluster up to the nearest selected cluster.
+    min_samples defaults to min_cluster_size. A point takes the label of the
+    cluster it departed from: that of the selected cluster at or above it.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if min_cluster_size < 2:
@@ -288,11 +288,4 @@ def hdbscan(points: np.ndarray, min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE
         return ClusterLabels(np.full(n, -1, dtype=np.int64))
 
     tree = condensed_tree(pts, min_cluster_size, min_samples)
-    cluster_label = np.full(len(tree.nodes), -1, dtype=np.int64)
-    cluster_label[tree.selected] = np.arange(len(tree.selected))
-    # _condense numbers every cluster after its parent, so one ascending pass
-    # hands each unselected cluster its parent's final label.
-    for cid in range(1, len(tree.nodes)):
-        if cluster_label[cid] < 0:
-            cluster_label[cid] = cluster_label[tree.nodes[cid].parent_id]
-    return ClusterLabels(cluster_label[tree.point_cluster])
+    return ClusterLabels(tree.label[tree.point_cluster])

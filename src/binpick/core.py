@@ -15,6 +15,11 @@ import numpy as np
 _UNIT_TOL = 1e-9
 
 
+def is_integer(value) -> bool:
+    """A Python or numpy integer; bools do not count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Point3:
     """A 3D point in the sensor frame, meters."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields as dataclass_fields
 import numpy as np
 
 from . import clustering, conditioning, planes, pose, segmentation
-from .core import OrganizedCloud
+from .core import OrganizedCloud, is_integer
 from .errors import ConfigError, EmptyClusterError, InputError
 from .fusion import HOMOGRAPHY_JSON_KEY, Homography, map_mask_to_cloud
 from .pose import Pose6DoF
@@ -37,13 +37,6 @@ HARDWARE_BASELINE_TRANS_ERR_MM = (3.03, 3.27, 3.3)
 HARDWARE_BASELINE_ROT_ERR_DEG = (2.95, 3.26)
 
 DEFAULT_MATCH_RADIUS_MM = 30.0
-
-_PHASE_ALIASES = {
-    "child": "child-first",
-    "child-first": "child-first",
-    "parent": "parent-after",
-    "parent-after": "parent-after",
-}
 
 
 @dataclass
@@ -81,7 +74,7 @@ class PipelineConfig:
             value = getattr(c, name)
             if value is None and optional:
                 continue
-            if not _is_integer(value):
+            if not is_integer(value):
                 raise ConfigError(f"{name} must be an integer, not {value!r}")
         for name in _FLOAT_FIELDS:
             value = getattr(c, name)
@@ -110,7 +103,7 @@ class PipelineConfig:
             (c.seed >= 0, "seed cannot be negative"),
         ]
         if c.roi is not None:
-            if len(c.roi) != 4 or not all(_is_integer(v) for v in c.roi):
+            if len(c.roi) != 4 or not all(is_integer(v) for v in c.roi):
                 raise ConfigError(f"roi must be four integers (x, y, w, h), not {list(c.roi)!r}")
             x, y, w, h = c.roi
             checks.append((w > 0 and h > 0 and x >= 0 and y >= 0,
@@ -121,12 +114,11 @@ class PipelineConfig:
         return self
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _is_finite(value) -> bool:
-    """A number that converts to a finite float (an int too large for one does not)."""
+    """A number that converts to a finite float (an int too large for one does
+    not); bools are refused, as for the integer fields."""
+    if isinstance(value, bool):
+        return False
     try:
         return math.isfinite(value)
     except (TypeError, OverflowError):
@@ -223,8 +215,8 @@ def segment_image(config: PipelineConfig, image: GrayImage, phase: str
     threshold is defined at the full camera frame's scale; an ROI crop does
     not change apparent box size.
     """
-    if phase not in _PHASE_ALIASES:
-        raise ConfigError(f"phase must be one of {sorted(_PHASE_ALIASES)}")
+    if phase not in segmentation.PHASES:
+        raise ConfigError(f"phase must be one of {segmentation.PHASES}")
     roi_img = image
     if config.roi is None:
         if image.width < 3 or image.height < 3:
@@ -243,7 +235,7 @@ def segment_image(config: PipelineConfig, image: GrayImage, phase: str
     min_area = segmentation.scaled_min_area(config.min_contour_area,
                                             image.width, image.height)
     refined = segmentation.refine_contours(contours, min_area)
-    return refined, segmentation.generate_masks(refined, _PHASE_ALIASES[phase])
+    return refined, segmentation.generate_masks(refined, phase)
 
 
 def _detect(config: PipelineConfig, cloud: OrganizedCloud, segment) -> DetectionReport:

@@ -71,7 +71,7 @@ def ransac_plane(points: np.ndarray, dist_thresh: float = DEFAULT_RANSAC_DIST_TH
     if s[1] <= 1e-12 * max(s[0], 1e-300):
         raise ValueError("degenerate input: points are collinear")
 
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     triples = np.array([rng.choice(n, size=3, replace=False) for _ in range(max_iter)],
                        dtype=np.int64).reshape(-1, 3)
     p0 = pts[triples[:, 0]]
@@ -121,7 +121,7 @@ def extract_planes_iterative(points: np.ndarray, *,
     plane/attempt caps.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     active = np.arange(len(pts))
     planes: list[SegmentedPlane] = []
     prev_model: PlaneModel | None = None

@@ -43,6 +43,9 @@ REFERENCE_PIXELS = 2048 * 1536
 DEFAULT_MIN_CONTOUR_AREA = 2500.0
 DEFAULT_CANNY_SIGMA = 0.33
 
+# Picking phases, which are also the roles of the masks they emit.
+PHASES = ("child", "parent")
+
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _EIGHT_CONN = np.ones((3, 3), dtype=bool)
 
@@ -94,8 +97,8 @@ class BinaryMask:
     source_index: int = 0
 
     def __post_init__(self):
-        if self.role not in ("child", "parent"):
-            raise ValueError("role must be 'child' or 'parent'")
+        if self.role not in PHASES:
+            raise ValueError(f"role must be one of {PHASES}")
         object.__setattr__(self, "bits", np.asarray(self.bits, dtype=bool))
 
     @property
@@ -383,23 +386,17 @@ def _rasterize(contour: Contour) -> np.ndarray:
 
 
 def generate_masks(contours: list[Contour], phase: str) -> list[BinaryMask]:
-    """Emit filled masks for one picking phase.
+    """Emit filled masks for one picking phase; the phase is their role.
 
-    ``child-first`` covers every nested contour (depth >= 1), deepest first then
+    ``child`` covers every nested contour (depth >= 1), deepest first then
     largest first, so inner boxes get picked before what they rest on.
-    ``parent-after`` covers the remaining top-level contours, largest first; a
+    ``parent`` covers the remaining top-level contours, largest first; a
     parent's mask is only meaningful once all its children have been picked.
     The two phases partition the contour set.
     """
-    if phase == "child-first":
-        chosen = [i for i, c in enumerate(contours) if c.depth >= 1]
-        role = "child"
-    elif phase == "parent-after":
-        chosen = [i for i, c in enumerate(contours) if c.depth == 0]
-        role = "parent"
-    else:
-        raise ValueError("phase must be 'child-first' or 'parent-after'")
-
+    if phase not in PHASES:
+        raise ValueError(f"phase must be one of {PHASES}")
+    chosen = [i for i, c in enumerate(contours) if (c.depth >= 1) == (phase == "child")]
     chosen.sort(key=lambda i: (-contours[i].depth, -contours[i].area, i))
-    return [BinaryMask(bits=_rasterize(contours[i]), role=role, source_index=i)
+    return [BinaryMask(bits=_rasterize(contours[i]), role=phase, source_index=i)
             for i in chosen]

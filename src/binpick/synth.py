@@ -14,12 +14,11 @@ x right, y down, z forward (down into the bin).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import EulerZYX, OrganizedCloud, Point3, RigidTransform, normalize_plane
+from .core import EulerZYX, OrganizedCloud, Point3, RigidTransform, is_integer, normalize_plane
 from .errors import InputError
 from .fusion import Homography
 from .pose import build_frame, euler_zyx_from_rotation, euler_zyx_to_rotation
@@ -69,8 +68,9 @@ class BoxSpec:
                 raise ValueError(
                     f"box {dims} smaller than the minimum {MIN_BOX_DIMENSIONS_MM} mm; "
                     "set allow_undersize to override")
-        if not 0 <= self.face_intensity <= 255:
-            raise ValueError("face_intensity must be an 8-bit value")
+        if not (is_integer(self.face_intensity) and 0 <= self.face_intensity <= 255):
+            raise ValueError("face_intensity must be an 8-bit integer, "
+                             f"not {self.face_intensity!r}")
         object.__setattr__(self, "dimensions_mm", dims)
 
     def half_extents_m(self) -> np.ndarray:
@@ -118,8 +118,11 @@ class SceneSpec:
             raise ValueError("fov_margin cannot be negative")
         if min(self.depth_resolution) < 2 or min(self.rgb_resolution) < 2:
             raise ValueError("camera resolutions must be at least 2x2")
-        if not 0 <= self.floor_intensity <= 255:
-            raise ValueError("floor_intensity must be an 8-bit value")
+        if not (is_integer(self.floor_intensity) and 0 <= self.floor_intensity <= 255):
+            raise ValueError("floor_intensity must be an 8-bit integer, "
+                             f"not {self.floor_intensity!r}")
+        if not (is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, not {self.seed!r}")
         if self.noise_sigma_m < 0:
             raise ValueError("noise sigma cannot be negative")
         bx, by = (v / 1000.0 for v in self.bin_size_mm)
@@ -445,7 +448,7 @@ def _box_from_dict(d: dict) -> BoxSpec:
     return BoxSpec(
         dimensions_mm=tuple(float(v) for v in d["dimensions_mm"]),
         pose=RigidTransform(rot, Point3.from_array(pos)),
-        face_intensity=int(d.get("face_intensity", 200)),
+        face_intensity=d.get("face_intensity", 200),
         allow_undersize=bool(d.get("allow_undersize", False)),
     )
 
@@ -464,23 +467,12 @@ def scene_from_dict(d: dict) -> SceneSpec:
             depth_resolution=tuple(d.get("depth_resolution", DEFAULT_DEPTH_RESOLUTION)),
             rgb_resolution=tuple(d.get("rgb_resolution", DEFAULT_RGB_RESOLUTION)),
             fov_margin=float(d.get("fov_margin", DEFAULT_FOV_MARGIN)),
-            floor_intensity=int(d.get("floor_intensity", DEFAULT_FLOOR_INTENSITY)),
+            floor_intensity=d.get("floor_intensity", DEFAULT_FLOOR_INTENSITY),
             noise_sigma_m=float(d.get("noise_sigma_m", 0.0)),
-            seed=int(d.get("seed", 0)),
+            seed=d.get("seed", 0),
         )
     except (ValueError, TypeError) as exc:
         raise InputError(f"invalid scene: {exc}") from exc
-
-
-def load_scene(path) -> SceneSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read scene file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputError("scene file must hold a JSON object")
-    return scene_from_dict(data)
 
 
 def scene_without_boxes(scene: SceneSpec, remove: list[int]) -> SceneSpec:

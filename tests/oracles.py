@@ -5,15 +5,18 @@ pairwise distances, Kruskal over the full edge list, all 3-subsets for plane
 fitting. None of it shares code with the library paths it validates.
 
 The step-by-step references (``prim_mst``, ``single_linkage``,
-``radius_neighborhoods``, ``voxel_centroids``, ``ransac_loop``,
-``padded_mls_resample``, ``padded_normals``) are the point layer's earlier
-per-element or per-neighborhood formulations, kept so that the batched
-versions can be checked against them.
+``condense_nodes``, ``select_nodes``, ``radius_neighborhoods``,
+``voxel_centroids``, ``ransac_loop``, ``padded_mls_resample``,
+``padded_normals``) are the point layer's earlier per-element or
+per-neighborhood formulations, kept so that the batched versions can be
+checked against them.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 from scipy import ndimage
@@ -289,6 +292,114 @@ def single_linkage(edges: np.ndarray, weights: np.ndarray, n: int
         parent[rb] = ra
         current[ra] = n + step
     return children, distances, sizes
+
+
+@dataclass
+class CondensedNode:
+    """One cluster of the condensed hierarchy, as a mutable record."""
+
+    node_id: int
+    parent_id: Optional[int]
+    lambda_birth: float
+    size: int
+    stability: float
+    children: list[int] = field(default_factory=list)
+
+
+def condense_nodes(children: np.ndarray, distances: np.ndarray, sizes: np.ndarray,
+                   n: int, min_cluster_size: int
+                   ) -> tuple[dict[int, CondensedNode], np.ndarray]:
+    """Condensed hierarchy as a dict of node records filled in by a stack walk
+    down the dendrogram, with stabilities accumulated record by record.
+    Returns (nodes, cluster each point departed from)."""
+    min_distance = 1e-12
+    lam = np.where(distances > min_distance, 1.0 / np.maximum(distances, min_distance),
+                   1.0 / min_distance).tolist()
+    merged = children.tolist()
+    sizes = sizes.tolist()
+    nodes = {0: CondensedNode(0, None, 0.0, n, 0.0)}
+    point_cluster = [0] * n
+    point_lambda = [0.0] * n
+    next_id = 1
+
+    def leaves_of(node):
+        out, stack = [], [node]
+        while stack:
+            v = stack.pop()
+            if v < n:
+                out.append(v)
+            else:
+                stack.extend(merged[v - n])
+        return out
+
+    stack = [(2 * n - 2, 0)]
+    while stack:
+        node, cluster = stack.pop()
+        if node < n:
+            continue
+        left, right = merged[node - n]
+        lv = lam[node - n]
+        ls, rs = sizes[left], sizes[right]
+        if ls >= min_cluster_size and rs >= min_cluster_size:
+            for child, size in ((left, ls), (right, rs)):
+                cid = next_id
+                next_id += 1
+                nodes[cid] = CondensedNode(cid, cluster, lv, size, 0.0)
+                nodes[cluster].children.append(cid)
+                stack.append((child, cid))
+        else:
+            for child, size in ((left, ls), (right, rs)):
+                if size >= min_cluster_size:
+                    stack.append((child, cluster))
+                else:
+                    for p in leaves_of(child):
+                        point_cluster[p] = cluster
+                        point_lambda[p] = lv
+
+    for cid, lp in zip(point_cluster, point_lambda):
+        c = nodes[cid]
+        c.stability += lp - c.lambda_birth
+    for node in nodes.values():
+        if node.parent_id is not None:
+            nodes[node.parent_id].stability += node.size * (
+                node.lambda_birth - nodes[node.parent_id].lambda_birth)
+    return nodes, np.array(point_cluster, dtype=np.int64)
+
+
+def select_nodes(nodes: dict[int, CondensedNode], point_cluster: np.ndarray
+                 ) -> tuple[list[int], np.ndarray]:
+    """Excess-of-mass selection by propagated stabilities and a stack walk
+    from the root that stops at the first chosen cluster; each point then
+    takes the label of the nearest selected cluster up its departure
+    cluster's chain. Returns (selected ids ascending, point labels)."""
+    propagated, chosen = {}, {}
+    for nid in sorted(nodes, reverse=True):
+        node = nodes[nid]
+        child_sum = sum(propagated[c] for c in node.children)
+        if node.children and child_sum > node.stability:
+            propagated[nid] = child_sum
+            chosen[nid] = False
+        else:
+            propagated[nid] = node.stability
+            chosen[nid] = True
+
+    selected = []
+    stack = [0]
+    while stack:
+        nid = stack.pop()
+        if chosen[nid]:
+            selected.append(nid)
+        else:
+            stack.extend(nodes[nid].children)
+    selected.sort()
+
+    labels = np.full(len(point_cluster), -1, dtype=np.int64)
+    for i, cid in enumerate(point_cluster.tolist()):
+        while cid is not None and cid not in selected:
+            cid = nodes[cid].parent_id
+        if cid is not None:
+            labels[i] = selected.index(cid)
+    return selected, labels
 
 
 def radius_neighborhoods(points: np.ndarray, radius: float, min_count: int

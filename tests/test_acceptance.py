@@ -339,7 +339,7 @@ def test_criterion_8_property_suites():
     # mask invariant: emitted bits equal the source contour's rasterization
     edges = ring_bitmap(40, 40, 3, 36, 3, 36) | ring_bitmap(40, 40, 14, 25, 14, 25)
     contours = find_contours(edges)
-    for phase in ("child-first", "parent-after"):
+    for phase in ("child", "parent"):
         for mask in generate_masks(contours, phase):
             src = contours[mask.source_index]
             raster = np.zeros(src.shape[0] * src.shape[1], dtype=bool)

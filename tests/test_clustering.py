@@ -153,31 +153,29 @@ class TestCondensedTree:
         rng = np.random.default_rng(10)
         pts = two_blobs(rng, n_each=40, separation=0.4)
         tree = condensed_tree(pts, min_cluster_size=20)
-        for node in tree.nodes.values():
-            assert node.stability >= -1e-12
-            if node.parent_id is not None:
-                assert node.lambda_birth >= tree.nodes[node.parent_id].lambda_birth
+        assert (tree.stability >= -1e-12).all()
+        assert tree.parent[0] == -1
+        assert (tree.parent[1:] < np.arange(1, len(tree.parent))).all()
+        assert (tree.lambda_birth[1:] >= tree.lambda_birth[tree.parent[1:]]).all()
 
     def test_selected_clusters_are_antichain(self):
         rng = np.random.default_rng(11)
         pts = np.vstack([two_blobs(rng, n_each=40, separation=0.5),
                          two_blobs(rng, n_each=40, separation=0.5) + 5.0])
         tree = condensed_tree(pts, min_cluster_size=25)
-        selected = set(tree.selected)
+        selected = set(tree.selected.tolist())
         for cid in selected:
-            parent = tree.nodes[cid].parent_id
-            while parent is not None:
+            parent = tree.parent[cid]
+            while parent >= 0:
                 assert parent not in selected
-                parent = tree.nodes[parent].parent_id
+                parent = tree.parent[parent]
 
     def test_member_counts(self):
         rng = np.random.default_rng(12)
         pts = two_blobs(rng, n_each=35, separation=0.8)
         tree = condensed_tree(pts, min_cluster_size=20)
-        root = tree.nodes[0]
-        assert root.size == 70
-        child_sizes = sorted(tree.nodes[c].size for c in root.children)
-        assert child_sizes == [35, 35]
+        assert tree.size[0] == 70
+        assert sorted(tree.size[tree.parent == 0].tolist()) == [35, 35]
 
 
 @st.composite
@@ -240,3 +238,31 @@ class TestAgainstStepReference:
         assert sorted(np.bincount(labels[labels >= 0]).tolist()) == [35, 40, 60]
         for block in (slice(0, 40), slice(40, 100), slice(100, 135)):
             assert len(set(labels[block].tolist())) == 1
+
+
+class TestAgainstNodeReference:
+    """The parent-ordered arrays and two linear passes give exactly the
+    node-dict condensation and stack-walk selection of the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pts=tie_heavy_points(), data=st.data())
+    def test_tree_selection_and_labels(self, pts, data):
+        min_cluster_size = data.draw(st.integers(2, 15))
+        min_samples = data.draw(st.one_of(st.none(), st.integers(1, 15)))
+        k = min(min_samples or min_cluster_size, len(pts) - 1)
+        dendrogram = clustering._single_linkage(*mutual_reachability_mst(pts, k), len(pts))
+        nodes, point_cluster = oracles.condense_nodes(*dendrogram, len(pts), min_cluster_size)
+        selected, labels = oracles.select_nodes(nodes, point_cluster)
+
+        tree = condensed_tree(pts, min_cluster_size, min_samples)
+        ids = sorted(nodes)
+        assert ids == list(range(len(tree.parent)))
+        assert np.array_equal(tree.parent, [-1 if nodes[i].parent_id is None
+                                            else nodes[i].parent_id for i in ids])
+        assert np.array_equal(tree.size, [nodes[i].size for i in ids])
+        assert np.array_equal(tree.lambda_birth, [nodes[i].lambda_birth for i in ids])
+        assert np.array_equal(tree.stability, [nodes[i].stability for i in ids])
+        assert np.array_equal(tree.point_cluster, point_cluster)
+        assert tree.selected.tolist() == selected
+        if len(pts) >= min_cluster_size:
+            assert np.array_equal(hdbscan(pts, min_cluster_size, min_samples).labels, labels)

@@ -104,8 +104,10 @@ class TestConfig:
         {"rgb_to_depth_homography": [1, 0, 0, 0, 1, 0, 0, 0, float("inf")]},
         {"rgb_to_depth_homography": [10**400, 0, 0, 0, 1, 0, 0, 0, 1]},
         {"rgb_to_depth_homography": [1e308, 0, 0, 0, 1, 0, 0, 0, 1e-11]},
+        {"canny_sigma": True}, {"sor_alpha": False},
     ], ids=["negative-seed", "inf", "nan", "int-beyond-float", "string", "null",
-            "homography-inf", "homography-int-beyond-float", "homography-overflow"])
+            "homography-inf", "homography-int-beyond-float", "homography-overflow",
+            "float-true", "float-false"])
     def test_negative_seed_and_non_finite_numbers_rejected(self, doc):
         with pytest.raises(ConfigError):
             config_from_dict(doc)
@@ -604,6 +606,37 @@ class TestCli:
             out = run_cli(*args)
             assert out.returncode == 2, (args, out.stderr)
             assert "input error" in out.stderr
+
+    @pytest.mark.parametrize("scene, flags", [
+        ({"seed": -1}, ()), ({}, ("--seed", "-2")), ({"seed": True}, ()),
+        ({"seed": 1.5}, ()), ({"floor_intensity": True}, ()),
+        ({"floor_intensity": 1.5}, ()), ({"face_intensity": True}, ()),
+        ({"face_intensity": 1.5}, ()),
+    ], ids=["negative-seed", "negative-seed-flag", "seed-true", "seed-fraction",
+            "floor-intensity-true", "floor-intensity-fraction", "face-intensity-true",
+            "face-intensity-fraction"])
+    def test_bad_scene_integer_is_input_error(self, tmp_path, scene, flags):
+        face = {k: v for k, v in scene.items() if k == "face_intensity"}
+        box = {"dimensions_mm": [120, 100, 60], "position_mm": [0, 0, 30], **face}
+        write_json(tmp_path / "scene.json", {
+            "rgb_resolution": [448, 344], "noise_sigma_m": 0.002, "boxes": [box],
+            **{k: v for k, v in scene.items() if k not in face}})
+        out = run_cli("synth", str(tmp_path / "scene.json"),
+                      "--out", str(tmp_path / "data"), *flags)
+        assert out.returncode == 2, out.stderr
+        assert "input error" in out.stderr and "Traceback" not in out.stderr
+
+    def test_unreadable_or_non_object_scene_is_input_error(self, tmp_path):
+        (tmp_path / "list.json").write_text("[1, 2]")
+        for scene in ("missing.json", "list.json"):
+            out = run_cli("synth", str(tmp_path / scene), "--out", str(tmp_path / "data"))
+            assert out.returncode == 2, (scene, out.stderr)
+            assert "input error" in out.stderr
+        write_json(tmp_path / "scene.json", {"rgb_resolution": [448, 344],
+                                             "noise_sigma_m": 0.002})
+        out = run_cli("synth", str(tmp_path / "scene.json"), "--out", str(tmp_path / "data"),
+                      "--seed", "3")
+        assert out.returncode == 0, out.stderr
 
     @pytest.mark.parametrize("report, truth_centroid", [
         ({"poses": 5}, [0, 0, 1000]),

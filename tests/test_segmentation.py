@@ -454,13 +454,13 @@ class TestGenerateMasks:
 
     def test_single_top_level_phase_split(self):
         contours = find_contours(ring_bitmap(20, 20, 3, 16, 3, 16))
-        assert generate_masks(contours, "child-first") == []
-        parents = generate_masks(contours, "parent-after")
+        assert generate_masks(contours, "child") == []
+        parents = generate_masks(contours, "parent")
         assert len(parents) == 1 and parents[0].role == "parent"
 
     def test_nested_pair_child_first(self):
         contours = self._scene_contours()
-        children = generate_masks(contours, "child-first")
+        children = generate_masks(contours, "child")
         assert len(children) == 1 and children[0].role == "child"
         inner = min(contours, key=lambda c: c.area)
         assert children[0].bits.sum() == inner.area
@@ -468,14 +468,14 @@ class TestGenerateMasks:
     def test_disjoint_parents_ordered_by_area(self):
         e = ring_bitmap(60, 60, 2, 40, 2, 40) | ring_bitmap(60, 60, 45, 57, 20, 50)
         contours = find_contours(e)
-        masks = generate_masks(contours, "parent-after")
+        masks = generate_masks(contours, "parent")
         assert len(masks) == 2
         assert masks[0].bits.sum() >= masks[1].bits.sum()
 
     def test_phase_disjointness_covers_all(self):
         contours = self._scene_contours()
-        children = generate_masks(contours, "child-first")
-        parents = generate_masks(contours, "parent-after")
+        children = generate_masks(contours, "child")
+        parents = generate_masks(contours, "parent")
         child_src = {m.source_index for m in children}
         parent_src = {m.source_index for m in parents}
         assert child_src.isdisjoint(parent_src)
@@ -483,7 +483,7 @@ class TestGenerateMasks:
 
     def test_mask_bits_match_source_rasterization(self):
         contours = self._scene_contours()
-        for mask in generate_masks(contours, "parent-after"):
+        for mask in generate_masks(contours, "parent"):
             src = contours[mask.source_index]
             raster = np.zeros(src.shape[0] * src.shape[1], dtype=bool)
             raster[src.filled_indices] = True
