@@ -8,6 +8,7 @@ All types here are immutable values and safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,17 @@ _UNIT_TOL = 1e-9
 def is_integer(value) -> bool:
     """A Python or numpy integer; bools do not count."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """A number that converts to a finite float (an int too large for one does
+    not); bools do not count."""
+    if isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 @dataclass(frozen=True)

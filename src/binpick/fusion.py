@@ -140,15 +140,11 @@ def map_mask_to_cloud(mask: BinaryMask, homography: Homography,
     nothing valid remains.
     """
     ys, xs = np.divmod(np.flatnonzero(mask.bits), mask.width)
-    if len(xs) == 0:
-        raise EmptyClusterError("mask has no set bits")
     mapped = homography._map_homogeneous(_homogeneous(xs, ys))
     u = np.rint(mapped[:, 0]).astype(np.int64)
     v = np.rint(mapped[:, 1]).astype(np.int64)
     inside = (u >= 0) & (u < cloud.width) & (v >= 0) & (v < cloud.height)
     u, v = u[inside], v[inside]
-    if len(u) == 0:
-        raise EmptyClusterError("mask maps entirely outside the depth grid")
     ok = cloud.valid[v, u]
     # Scatter into a grid-sized bitmap: its set cells come out sorted and unique.
     hit = np.zeros(cloud.height * cloud.width, dtype=bool)

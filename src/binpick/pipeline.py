@@ -12,14 +12,13 @@ Reported timing covers computation only; sensor acquisition is not modeled.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, fields as dataclass_fields
 
 import numpy as np
 
 from . import clustering, conditioning, planes, pose, segmentation
-from .core import OrganizedCloud, is_integer
+from .core import OrganizedCloud, is_finite_number, is_integer
 from .errors import ConfigError, EmptyClusterError, InputError
 from .fusion import HOMOGRAPHY_JSON_KEY, Homography, map_mask_to_cloud
 from .pose import Pose6DoF
@@ -78,7 +77,7 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be an integer, not {value!r}")
         for name in _FLOAT_FIELDS:
             value = getattr(c, name)
-            if not _is_finite(value):
+            if not is_finite_number(value):
                 raise ConfigError(f"{name} must be a finite number, not {value!r}")
         checks = [
             (c.canny_sigma > 0, "canny_sigma must be positive"),
@@ -112,17 +111,6 @@ class PipelineConfig:
             if not ok:
                 raise ConfigError(message)
         return self
-
-
-def _is_finite(value) -> bool:
-    """A number that converts to a finite float (an int too large for one does
-    not); bools are refused, as for the integer fields."""
-    if isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except (TypeError, OverflowError):
-        return False
 
 
 _CONFIG_FIELDS = {f.name for f in dataclass_fields(PipelineConfig)} - {"homography"}

@@ -14,11 +14,12 @@ x right, y down, z forward (down into the bin).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .core import EulerZYX, OrganizedCloud, Point3, RigidTransform, is_integer, normalize_plane
+from .core import (EulerZYX, OrganizedCloud, Point3, RigidTransform, is_finite_number,
+                   is_integer, normalize_plane)
 from .errors import InputError
 from .fusion import Homography
 from .pose import build_frame, euler_zyx_from_rotation, euler_zyx_to_rotation
@@ -37,8 +38,7 @@ DEFAULT_FLOOR_INTENSITY = 60
 _WALL_THICKNESS_M = 0.01
 
 _KIND_MISS = -1
-_KIND_FLOOR = -2
-_KIND_WALL = -3
+_KIND_BIN = -2
 
 # Sensor axes expressed in world coordinates (columns): x right, y down, z forward.
 _SENSOR_AXES_IN_WORLD = np.array([
@@ -46,6 +46,12 @@ _SENSOR_AXES_IN_WORLD = np.array([
     [0.0, -1.0, 0.0],
     [0.0, 0.0, -1.0],
 ])
+
+
+def _finite(value, name: str) -> float:
+    if not is_finite_number(value):
+        raise ValueError(f"{name}: {value!r} is not a finite number")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -59,9 +65,12 @@ class BoxSpec:
     allow_undersize: bool = False
 
     def __post_init__(self):
-        dims = tuple(float(d) for d in self.dimensions_mm)
+        dims = tuple(_finite(d, "box dimensions") for d in self.dimensions_mm)
         if len(dims) != 3 or any(d <= 0 for d in dims):
             raise ValueError("box dimensions must be three positive lengths")
+        if not isinstance(self.allow_undersize, bool):
+            raise ValueError("allow_undersize must be true or false, "
+                             f"not {self.allow_undersize!r}")
         if not self.allow_undersize:
             if any(have < want for have, want in
                    zip(sorted(dims), sorted(MIN_BOX_DIMENSIONS_MM))):
@@ -107,17 +116,20 @@ class SceneSpec:
     def __post_init__(self):
         object.__setattr__(self, "boxes", tuple(self.boxes))
         object.__setattr__(self, "bin_size_mm",
-                           tuple(float(v) for v in self.bin_size_mm))
-        object.__setattr__(self, "depth_resolution",
-                           tuple(int(v) for v in self.depth_resolution))
-        object.__setattr__(self, "rgb_resolution",
-                           tuple(int(v) for v in self.rgb_resolution))
+                           tuple(_finite(v, "bin_size_mm") for v in self.bin_size_mm))
+        for name in ("wall_height_mm", "mount_height_m", "fov_margin", "noise_sigma_m"):
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
+        for name in ("depth_resolution", "rgb_resolution"):
+            res = tuple(getattr(self, name))
+            if len(res) != 2 or not all(is_integer(v) and v >= 2 for v in res):
+                raise ValueError(f"{name} must be two integers of at least 2, not {res!r}")
+            object.__setattr__(self, name, tuple(int(v) for v in res))
+        if len(self.bin_size_mm) != 2 or min(self.bin_size_mm) <= 0:
+            raise ValueError("bin_size_mm must be two positive lengths")
         if self.mount_height_m <= 0:
             raise ValueError("camera mount height must be positive")
         if self.fov_margin < 0:
             raise ValueError("fov_margin cannot be negative")
-        if min(self.depth_resolution) < 2 or min(self.rgb_resolution) < 2:
-            raise ValueError("camera resolutions must be at least 2x2")
         if not (is_integer(self.floor_intensity) and 0 <= self.floor_intensity <= 255):
             raise ValueError("floor_intensity must be an 8-bit integer, "
                              f"not {self.floor_intensity!r}")
@@ -227,31 +239,36 @@ def _wall_boxes(scene: SceneSpec) -> list[BoxSpec]:
 
 def _intersect_box(origin: np.ndarray, dirs: np.ndarray, box: BoxSpec
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Slab test of all rays against one oriented box.
+    """Slab test of all rays against one oriented box, one box axis at a time.
 
     Returns (t, is_top): entry parameter (inf for misses) and whether the entry
     face is the box's +z face.
     """
     rot = box.pose.rotation
     o_b = (origin - box.pose.translation_array()) @ rot
-    d_b = dirs @ rot
+    d_b = (dirs @ rot).T
     half = box.half_extents_m()
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_lo = (-half - o_b) / d_b
-        t_hi = (half - o_b) / d_b
-    t_min = np.minimum(t_lo, t_hi)
-    t_max = np.maximum(t_lo, t_hi)
-    # 0/0 produces NaN when a ray grazes a slab boundary; treat that slab as
-    # non-constraining for the ray.
-    t_min = np.where(np.isnan(t_min), -np.inf, t_min)
-    t_max = np.where(np.isnan(t_max), np.inf, t_max)
-    t_enter = t_min.max(axis=1)
-    t_exit = t_max.min(axis=1)
+    t_enter = np.full(len(dirs), -np.inf)
+    t_exit = np.full(len(dirs), np.inf)
+    for axis in range(3):
+        d = d_b[axis]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_lo = (-half[axis] - o_b[axis]) / d
+            t_hi = (half[axis] - o_b[axis]) / d
+        near = np.minimum(t_lo, t_hi)
+        far = np.maximum(t_lo, t_hi)
+        # 0/0 produces NaN when a ray grazes a slab boundary; treat that slab
+        # as non-constraining for the ray.
+        near[np.isnan(near)] = -np.inf
+        far[np.isnan(far)] = np.inf
+        if axis == 2:
+            # The z slab is the entry face only when it is entered strictly
+            # after the x and y slabs; an edge tie goes to the earlier axis.
+            top = (near > t_enter) & (d < 0)
+        np.maximum(t_enter, near, out=t_enter)
+        np.minimum(t_exit, far, out=t_exit)
     hit = (t_enter <= t_exit) & (t_exit > 0) & (t_enter > 1e-9)
-
-    enter_axis = t_min.argmax(axis=1)
-    top = (enter_axis == 2) & (d_b[:, 2] < 0)
 
     t = np.where(hit, t_enter, np.inf)
     return t, top & hit
@@ -261,7 +278,8 @@ def _cast(scene: SceneSpec, cam: _Camera, boxes: tuple[BoxSpec, ...] | None = No
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Nearest-hit ray cast. Returns flat arrays (t, kind, is_top, dirs).
 
-    kind holds the box index for box hits, or the floor/wall/miss markers.
+    kind holds the box index for box hits, or the bin (floor and walls) or
+    miss marker.
     """
     if boxes is None:
         boxes = scene.boxes
@@ -281,21 +299,15 @@ def _cast(scene: SceneSpec, cam: _Camera, boxes: tuple[BoxSpec, ...] | None = No
     floor_xy = origin[:2] + t_floor * dirs_w[:, :2]
     on_floor = (np.abs(floor_xy[:, 0]) <= bx / 2) & (np.abs(floor_xy[:, 1]) <= by / 2)
     t_best[on_floor] = t_floor
-    kind[on_floor] = _KIND_FLOOR
+    kind[on_floor] = _KIND_BIN
 
-    for idx, box in enumerate(boxes):
+    for idx, box in enumerate((*boxes, *_wall_boxes(scene))):
+        is_box = idx < len(boxes)
         t, top = _intersect_box(origin, dirs_w, box)
         closer = t < t_best
         t_best[closer] = t[closer]
-        kind[closer] = idx
-        is_top[closer] = top[closer]
-
-    for wall in _wall_boxes(scene):
-        t, _ = _intersect_box(origin, dirs_w, wall)
-        closer = t < t_best
-        t_best[closer] = t[closer]
-        kind[closer] = _KIND_WALL
-        is_top[closer] = False
+        kind[closer] = idx if is_box else _KIND_BIN
+        is_top[closer] = top[closer] & is_box
 
     return t_best, kind, is_top, dirs_s
 
@@ -353,17 +365,12 @@ def _projected_top_quad(box: BoxSpec, scene: SceneSpec, cam: _Camera) -> np.ndar
 def _points_strictly_inside_quad(points: np.ndarray, quad: np.ndarray) -> bool:
     center = quad.mean(0)
     angles = np.arctan2(quad[:, 1] - center[1], quad[:, 0] - center[0])
-    ordered = quad[np.argsort(angles)]
-    for p in points:
-        signs = []
-        for i in range(4):
-            a, b = ordered[i], ordered[(i + 1) % 4]
-            e, r = b - a, p - a
-            signs.append(e[0] * r[1] - e[1] * r[0])
-        signs = np.array(signs)
-        if not ((signs > 1e-9).all() or (signs < -1e-9).all()):
-            return False
-    return True
+    a = quad[np.argsort(angles)]
+    e = np.roll(a, -1, axis=0) - a
+    r = points[:, None, :] - a
+    # Each point against each edge: the sign of the edge-to-point cross product.
+    signs = e[:, 0] * r[..., 1] - e[:, 1] * r[..., 0]
+    return bool(((signs > 1e-9).all(1) | (signs < -1e-9).all(1)).all())
 
 
 def ground_truth(scene: SceneSpec) -> list[GroundTruthEntry]:
@@ -414,24 +421,7 @@ def ground_truth(scene: SceneSpec) -> list[GroundTruthEntry]:
     return entries
 
 
-def visibility_accounting(scene: SceneSpec) -> dict:
-    """Pixel budget of a depth render: per-box counts (any face), bin structure
-    (floor and walls), and invalid pixels. The categories always sum to the
-    full grid."""
-    cam = depth_camera(scene)
-    _, kind, _, _ = _cast(scene, cam)
-    per_box = [int((kind == i).sum()) for i in range(len(scene.boxes))]
-    bin_pixels = int(((kind == _KIND_FLOOR) | (kind == _KIND_WALL)).sum())
-    invalid = int((kind == _KIND_MISS).sum())
-    return {"box_pixels": per_box, "bin_pixels": bin_pixels, "invalid_pixels": invalid,
-            "total": cam.width * cam.height}
-
-
-_SCENE_KEYS = {
-    "bin_size_mm", "wall_height_mm", "mount_height_m", "depth_resolution",
-    "rgb_resolution", "fov_margin", "floor_intensity", "noise_sigma_m",
-    "seed", "boxes",
-}
+_SCENE_KEYS = {f.name for f in fields(SceneSpec)}
 _BOX_KEYS = {"dimensions_mm", "position_mm", "rotation_zyx_deg",
              "face_intensity", "allow_undersize"}
 
@@ -442,14 +432,14 @@ def _box_from_dict(d: dict) -> BoxSpec:
         raise InputError(f"unknown box keys: {sorted(unknown)}")
     if "dimensions_mm" not in d or "position_mm" not in d:
         raise InputError("box needs dimensions_mm and position_mm")
-    rz, ry, rx = d.get("rotation_zyx_deg", (0.0, 0.0, 0.0))
-    rot = euler_zyx_to_rotation(EulerZYX(float(rz), float(ry), float(rx)))
-    pos = np.asarray(d["position_mm"], dtype=float) / 1000.0
+    rz, ry, rx = (_finite(v, "rotation_zyx_deg") for v in d.get("rotation_zyx_deg", (0, 0, 0)))
+    rot = euler_zyx_to_rotation(EulerZYX(rz, ry, rx))
+    pos = np.array([_finite(v, "position_mm") for v in d["position_mm"]]) / 1000.0
     return BoxSpec(
-        dimensions_mm=tuple(float(v) for v in d["dimensions_mm"]),
+        dimensions_mm=d["dimensions_mm"],
         pose=RigidTransform(rot, Point3.from_array(pos)),
         face_intensity=d.get("face_intensity", 200),
-        allow_undersize=bool(d.get("allow_undersize", False)),
+        allow_undersize=d.get("allow_undersize", False),
     )
 
 
@@ -459,18 +449,7 @@ def scene_from_dict(d: dict) -> SceneSpec:
         raise InputError(f"unknown scene keys: {sorted(unknown)}")
     try:
         boxes = tuple(_box_from_dict(b) for b in d.get("boxes", []))
-        return SceneSpec(
-            boxes=boxes,
-            bin_size_mm=tuple(d.get("bin_size_mm", DEFAULT_BIN_SIZE_MM)),
-            wall_height_mm=float(d.get("wall_height_mm", 0.0)),
-            mount_height_m=float(d.get("mount_height_m", DEFAULT_MOUNT_HEIGHT_M)),
-            depth_resolution=tuple(d.get("depth_resolution", DEFAULT_DEPTH_RESOLUTION)),
-            rgb_resolution=tuple(d.get("rgb_resolution", DEFAULT_RGB_RESOLUTION)),
-            fov_margin=float(d.get("fov_margin", DEFAULT_FOV_MARGIN)),
-            floor_intensity=d.get("floor_intensity", DEFAULT_FLOOR_INTENSITY),
-            noise_sigma_m=float(d.get("noise_sigma_m", 0.0)),
-            seed=d.get("seed", 0),
-        )
+        return SceneSpec(**{**d, "boxes": boxes})
     except (ValueError, TypeError) as exc:
         raise InputError(f"invalid scene: {exc}") from exc
 

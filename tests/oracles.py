@@ -9,7 +9,9 @@ The step-by-step references (``prim_mst``, ``single_linkage``,
 ``voxel_centroids``, ``ransac_loop``, ``padded_mls_resample``,
 ``padded_normals``) are the point layer's earlier per-element or
 per-neighborhood formulations, kept so that the batched versions can be
-checked against them.
+checked against them. ``slab_intersect_box`` and ``points_inside_quad_loop``
+are the synthetic renderer's earlier caster and child test: all three slabs
+of every ray in one ``(n, 3)`` array, and one point and one edge at a time.
 """
 
 from __future__ import annotations
@@ -538,3 +540,51 @@ def ransac_loop(points: np.ndarray, dist_thresh: float, max_iter: int,
             best_count = int(hits.sum())
             best = (hits, nrm, offset)
     return best
+
+
+def slab_intersect_box(origin: np.ndarray, dirs: np.ndarray, box
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Slab test of all rays against one oriented box.
+
+    Returns (t, is_top): entry parameter (inf for misses) and whether the entry
+    face is the box's +z face.
+    """
+    rot = box.pose.rotation
+    o_b = (origin - box.pose.translation_array()) @ rot
+    d_b = dirs @ rot
+    half = box.half_extents_m()
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lo = (-half - o_b) / d_b
+        t_hi = (half - o_b) / d_b
+    t_min = np.minimum(t_lo, t_hi)
+    t_max = np.maximum(t_lo, t_hi)
+    # 0/0 produces NaN when a ray grazes a slab boundary; treat that slab as
+    # non-constraining for the ray.
+    t_min = np.where(np.isnan(t_min), -np.inf, t_min)
+    t_max = np.where(np.isnan(t_max), np.inf, t_max)
+    t_enter = t_min.max(axis=1)
+    t_exit = t_max.min(axis=1)
+    hit = (t_enter <= t_exit) & (t_exit > 0) & (t_enter > 1e-9)
+
+    enter_axis = t_min.argmax(axis=1)
+    top = (enter_axis == 2) & (d_b[:, 2] < 0)
+
+    t = np.where(hit, t_enter, np.inf)
+    return t, top & hit
+
+
+def points_inside_quad_loop(points: np.ndarray, quad: np.ndarray) -> bool:
+    center = quad.mean(0)
+    angles = np.arctan2(quad[:, 1] - center[1], quad[:, 0] - center[0])
+    ordered = quad[np.argsort(angles)]
+    for p in points:
+        signs = []
+        for i in range(4):
+            a, b = ordered[i], ordered[(i + 1) % 4]
+            e, r = b - a, p - a
+            signs.append(e[0] * r[1] - e[1] * r[0])
+        signs = np.array(signs)
+        if not ((signs > 1e-9).all() or (signs < -1e-9).all()):
+            return False
+    return True

@@ -1,10 +1,11 @@
-"""The benchmark's probe table still matches the program.
+"""The benchmark's probe table and set-up renderer still match the program.
 
 ``perfbench/tracing.py`` wraps binpick functions by module and attribute
-name and reads a few attributes of what they return. A rename or deletion in
-``src/`` would break the traced benchmark without failing any other test, so
-this imports that one file (and nothing else of the benchmark) and checks
-every name it relies on.
+name and reads a few attributes of what they return, and
+``perfbench/render.py`` draws every workload's frames through ``synth``. A
+rename or deletion in ``src/`` would break the benchmark without failing any
+other test, so this imports those two files (and the workload table they
+read) and checks every name they rely on.
 """
 
 import importlib
@@ -30,19 +31,34 @@ from binpick.synth import (
 
 from .test_synth import make_box
 
-_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses and imports look the module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up here
     try:
-        spec.loader.exec_module(module)
-        yield module
+        yield _load("tracing")
     finally:
-        del sys.modules[spec.name]
+        del sys.modules["tracing"]
+
+
+@pytest.fixture(scope="module")
+def render():
+    """render.py reads the workload table as the top-level module ``workloads``."""
+    try:
+        _load("workloads")
+        yield _load("render")
+    finally:
+        sys.modules.pop("workloads", None)
+        sys.modules.pop("render", None)
 
 
 def test_every_probe_resolves(tracing):
@@ -89,3 +105,20 @@ def test_traced_frames_agree_with_their_reports(tracing):
     assert all(report.poses for report in reports)
     for frame, report in zip(frames, reports):
         assert tracing.check_frame(frame, report) == []
+
+
+def test_setup_render_matches_direct_synth_calls(render):
+    """The benchmark's set-up draws every variant's frames with the same
+    images and clouds as calling synth directly on its scenes."""
+    workload = render.WORKLOADS["bigface640"]
+    arrays = render.render_workload(workload)
+    fields = ("image", "points", "valid", "phase", "truth_centroid_mm", "truth_normal",
+              "truth_euler_deg", "truth_visibility", "truth_priority", "render_s")
+    frames = [(v, f, scene) for v in range(render.VARIANTS)
+              for f, (scene, _, _) in enumerate(render.frames_of(workload, v))]
+    assert set(arrays) == {f"v{v}f{f}_{name}" for v, f, _ in frames for name in fields}
+    for v, f, scene in frames:
+        cloud = render_depth(scene)
+        assert np.array_equal(arrays[f"v{v}f{f}_image"], render_image(scene).pixels)
+        assert np.array_equal(arrays[f"v{v}f{f}_points"], cloud.points)
+        assert np.array_equal(arrays[f"v{v}f{f}_valid"], cloud.valid)

@@ -612,15 +612,30 @@ class TestCli:
         ({"seed": 1.5}, ()), ({"floor_intensity": True}, ()),
         ({"floor_intensity": 1.5}, ()), ({"face_intensity": True}, ()),
         ({"face_intensity": 1.5}, ()),
+        ({"bin_size_mm": [0, 400], "boxes": []}, ()),
+        ({"bin_size_mm": [-600, 400], "boxes": []}, ()),
+        ({"fov_margin": float("inf")}, ()), ({"mount_height_m": float("nan")}, ()),
+        ({"mount_height_m": True}, ()), ({"noise_sigma_m": float("nan")}, ()),
+        ({"wall_height_mm": float("nan")}, ()), ({"depth_resolution": [40.7, 30]}, ()),
+        ({"dimensions_mm": [120, float("nan"), 60], "allow_undersize": True}, ()),
+        ({"position_mm": [0, float("nan"), 30]}, ()),
+        ({"dimensions_mm": [30, 30, 10], "position_mm": [0, 0, 5],
+          "allow_undersize": "no"}, ()),
     ], ids=["negative-seed", "negative-seed-flag", "seed-true", "seed-fraction",
             "floor-intensity-true", "floor-intensity-fraction", "face-intensity-true",
-            "face-intensity-fraction"])
+            "face-intensity-fraction", "bin-size-zero", "bin-size-negative",
+            "fov-margin-infinite", "mount-height-nan", "mount-height-true", "noise-nan",
+            "wall-height-nan", "resolution-fraction", "box-dimension-nan",
+            "box-position-nan", "undersize-flag-string"])
     def test_bad_scene_integer_is_input_error(self, tmp_path, scene, flags):
-        face = {k: v for k, v in scene.items() if k == "face_intensity"}
-        box = {"dimensions_mm": [120, 100, 60], "position_mm": [0, 0, 30], **face}
+        """Scene numbers that are not finite, not positive where a size must
+        be, fractional where a count must be, or of the wrong type."""
+        box_keys = {"dimensions_mm", "position_mm", "face_intensity", "allow_undersize"}
+        box = {"dimensions_mm": [120, 100, 60], "position_mm": [0, 0, 30],
+               **{k: v for k, v in scene.items() if k in box_keys}}
         write_json(tmp_path / "scene.json", {
             "rgb_resolution": [448, 344], "noise_sigma_m": 0.002, "boxes": [box],
-            **{k: v for k, v in scene.items() if k not in face}})
+            **{k: v for k, v in scene.items() if k not in box_keys}})
         out = run_cli("synth", str(tmp_path / "scene.json"),
                       "--out", str(tmp_path / "data"), *flags)
         assert out.returncode == 2, out.stderr

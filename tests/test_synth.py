@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from binpick.core import Point3, RigidTransform
 from binpick.errors import InputError
@@ -9,6 +12,8 @@ from binpick.core import EulerZYX
 from binpick.synth import (
     BoxSpec,
     SceneSpec,
+    _intersect_box,
+    _points_strictly_inside_quad,
     add_depth_noise,
     depth_camera,
     ground_truth,
@@ -16,8 +21,9 @@ from binpick.synth import (
     render_image,
     scene_from_dict,
     scene_homography,
-    visibility_accounting,
 )
+
+from . import oracles
 
 
 def make_box(dims_mm, pos_mm, rot_zyx_deg=(0, 0, 0), intensity=200):
@@ -73,12 +79,115 @@ class TestRenderDepth:
         on_plane = np.abs(dists) < 1e-9
         assert on_plane.sum() > 200  # the visible top face
 
-    def test_visibility_accounting_sums_to_grid(self):
-        scene = simple_scene([make_box((100, 100, 50), (-80, 40, 25)),
-                              make_box((80, 120, 40), (60, -60, 20))])
-        acct = visibility_accounting(scene)
-        assert sum(acct["box_pixels"]) + acct["bin_pixels"] + acct["invalid_pixels"] \
-            == acct["total"] == 224 * 172
+
+# The 24 rotations by multiples of 90 degrees as exact signed permutations:
+# a box-frame coordinate comes out of ``@ rot`` with no rounding, so a test can
+# put a ray exactly on a slab plane or give it a direction component of 0.
+RIGHT_ANGLES = [m for m in (
+    np.eye(3)[list(perm)] * np.array(signs)[:, None]
+    for perm in itertools.permutations(range(3))
+    for signs in itertools.product((-1.0, 1.0), repeat=3)) if np.linalg.det(m) > 0]
+
+
+def assert_same_as_slab_reference(origin, dirs, box):
+    t, top = _intersect_box(origin, dirs, box)
+    ref_t, ref_top = oracles.slab_intersect_box(origin, dirs, box)
+    assert np.array_equal(t, ref_t)
+    assert np.array_equal(top, ref_top)
+
+
+class TestCasterAgainstReference:
+    """The per-axis slab loop gives the same entry parameters and top-face
+    flags, bit for bit, as the (n, 3) slab test it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           rotation=st.sampled_from(["euler", "euler_right_angles", "exact_right_angles"]),
+           inside=st.booleans())
+    def test_random_boxes_and_ray_fans(self, seed, rotation, inside):
+        rng = np.random.default_rng(seed)
+        if rotation == "exact_right_angles":
+            rot = RIGHT_ANGLES[rng.integers(len(RIGHT_ANGLES))]
+        else:
+            angles = (rng.uniform(-179, 180, 3) if rotation == "euler"
+                      else rng.choice([0.0, 90.0, -90.0, 180.0], 3))
+            angles[1] = np.clip(angles[1], -90, 90)
+            rot = euler_zyx_to_rotation(EulerZYX(*map(float, angles)))
+        box = BoxSpec(dimensions_mm=tuple(rng.uniform(5, 300, 3)),
+                      pose=RigidTransform(rot, Point3(*rng.uniform(-0.2, 0.2, 3))),
+                      allow_undersize=True)
+        half = box.half_extents_m()
+        if inside:
+            origin = box.pose.apply_array(rng.uniform(-1, 1, 3) * half)
+        else:
+            origin = rng.uniform(-0.5, 0.5, 3) + np.array([0.0, 0.0, 0.8])
+        targets = box.pose.apply_array(rng.uniform(-1.5, 1.5, (64, 3)) * half)
+        dirs = np.vstack([targets - origin, rng.standard_normal((16, 3))])
+        assert_same_as_slab_reference(origin, dirs, box)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rot_index=st.integers(0, len(RIGHT_ANGLES) - 1),
+           axis=st.integers(0, 2), side=st.sampled_from([-1.0, 1.0]),
+           zero=st.sampled_from([0.0, -0.0]))
+    def test_grazing_and_edge_rays(self, seed, rot_index, axis, side, zero):
+        """Half extents and offsets are multiples of 1/64 m, so the slab
+        parameters of the planes these rays lie on or cross at an edge come
+        out exact."""
+        rng = np.random.default_rng(seed)
+        rot = RIGHT_ANGLES[rot_index]
+        box = BoxSpec(dimensions_mm=tuple(31.25 * rng.integers(2, 17, 3)),
+                      pose=RigidTransform(rot, Point3(0.0, 0.0, 0.0)), allow_undersize=True)
+        half = box.half_extents_m()
+        # Grazing: the origin lies on one slab plane and every direction runs
+        # along it (0/0 in that slab), aimed at points of the box.
+        grazing_origin = rng.uniform(-2, 2, 3) * half
+        grazing_origin[axis] = side * half[axis]
+        grazing = rng.uniform(-1, 1, (32, 3)) * half - grazing_origin
+        grazing[:, axis] = zero
+        # Edge: a ray entering exactly through an edge of the +z face, so the
+        # x or y slab and the z slab are entered at the same parameter.
+        edge_axis = axis % 2
+        s = rng.integers(1, 65) / 64
+        edge_origin = np.zeros(3)
+        edge_origin[1 - edge_axis] = rng.integers(-3, 4) / 4 * half[1 - edge_axis]
+        edge_origin[edge_axis] = side * (half[edge_axis] + s)
+        edge_origin[2] = half[2] + s
+        edge = np.zeros((1, 3))
+        edge[0, edge_axis] = -side
+        edge[0, 2] = -1.0
+        edge[0, 1 - edge_axis] = zero
+        for origin_b, dirs_b in ((grazing_origin, grazing), (edge_origin, edge)):
+            assert_same_as_slab_reference(rot @ origin_b, dirs_b @ rot.T, box)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), convex=st.booleans())
+    def test_points_inside_quad(self, seed, convex):
+        """Points on the quad's edges and within about 1e-9 of them decide
+        the same as one point and one edge at a time."""
+        rng = np.random.default_rng(seed)
+        if convex:
+            center, size = rng.uniform(20, 200, 2), rng.uniform(1, 80, 2)
+            angle = rng.uniform(-np.pi, np.pi)
+            c, s = np.cos(angle), np.sin(angle)
+            corners = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]]) * size
+            quad = center + corners @ np.array([[c, s], [-s, c]])
+        else:
+            quad = rng.uniform(0, 250, (4, 2))
+        start = rng.integers(0, 4, 24)
+        a, b = quad[start], quad[(start + rng.integers(1, 4, 24)) % 4]
+        e = b - a
+        # Moved off the segment by `offset` / |e| along its normal, so that the
+        # cross product against its own edge is about `offset`.
+        normal = np.column_stack([-e[:, 1], e[:, 0]]) / (e**2).sum(1, keepdims=True)
+        offset = rng.choice([0.0, 0.5e-9, 1e-9, 2e-9, -0.5e-9, -1e-9, -2e-9], (24, 1))
+        points = np.vstack([a + rng.uniform(0, 1, (24, 1)) * e + offset * normal,
+                            quad, rng.uniform(0, 250, (8, 2))])
+        for p in points:
+            assert _points_strictly_inside_quad(p[None], quad) == \
+                oracles.points_inside_quad_loop(p[None], quad)
+        for group in points.reshape(-1, 4, 2):
+            assert _points_strictly_inside_quad(group, quad) == \
+                oracles.points_inside_quad_loop(group, quad)
 
 
 class TestRenderImage:
