@@ -1,12 +1,15 @@
 """Synthetic bin scenes with exact ground truth for both sensors.
 
 A pinhole depth camera and a co-located pinhole RGB camera look straight down
-at a bin from the mount height; boxes are oriented cuboids. Depth rendering
-casts one ray per pixel against box faces and the bin floor (nearest hit wins,
-misses are invalid); image rendering paints visible box top faces at their
-gray level over a uniform floor intensity with hard edges. Because the two
-cameras share a center, their pixel grids are related by an exact homography,
-which closes the loop on the fusion calibration.
+at a bin from the mount height; boxes are oriented cuboids. Both renderers
+cast one ray per pixel against the bin floor and test each box only against
+the rays of its pixel window: the rectangle spanned by its 8 projected
+corners, widened by 1 px on each side and clipped to the frame (nearest hit
+wins, misses are invalid). Every corner lies strictly in front of the camera,
+so a ray outside the window cannot hit the box. Image rendering paints visible
+box top faces at their gray level over a uniform floor intensity with hard
+edges. Because the two cameras share a center, their pixel grids are related
+by an exact homography, which closes the loop on the fusion calibration.
 
 World frame: origin at the bin center on the floor, z up. The sensor frame has
 x right, y down, z forward (down into the bin).
@@ -39,6 +42,10 @@ _WALL_THICKNESS_M = 0.01
 
 _KIND_MISS = -1
 _KIND_BIN = -2
+
+# Bound on the magnitude of a standard normal draw: numpy's ziggurat sampler
+# cannot return one above about 13.7.
+_MAX_NORMAL_DRAW = 16.0
 
 # Sensor axes expressed in world coordinates (columns): x right, y down, z forward.
 _SENSOR_AXES_IN_WORLD = np.array([
@@ -124,12 +131,19 @@ class SceneSpec:
             if len(res) != 2 or not all(is_integer(v) and v >= 2 for v in res):
                 raise ValueError(f"{name} must be two integers of at least 2, not {res!r}")
             object.__setattr__(self, name, tuple(int(v) for v in res))
-        if len(self.bin_size_mm) != 2 or min(self.bin_size_mm) <= 0:
+        if len(self.bin_size_mm) != 2 or min(self.bin_size_mm) / 1000.0 <= 0:
             raise ValueError("bin_size_mm must be two positive lengths")
         if self.mount_height_m <= 0:
             raise ValueError("camera mount height must be positive")
         if self.fov_margin < 0:
             raise ValueError("fov_margin cannot be negative")
+        if self.wall_height_mm / 1000.0 >= self.mount_height_m:
+            raise ValueError("wall_height_mm must stay below the camera mount height")
+        for res in (self.depth_resolution, self.rgb_resolution):
+            cam = _camera(self, res)
+            if not all(np.isfinite(f) and f > 0 for f in (cam.fx, cam.fy)):
+                raise ValueError("camera focal lengths must be finite and positive; "
+                                 "mount_height_m, bin_size_mm or fov_margin is out of range")
         if not (is_integer(self.floor_intensity) and 0 <= self.floor_intensity <= 255):
             raise ValueError("floor_intensity must be an 8-bit integer, "
                              f"not {self.floor_intensity!r}")
@@ -138,6 +152,12 @@ class SceneSpec:
         if self.noise_sigma_m < 0:
             raise ValueError("noise sigma cannot be negative")
         bx, by = (v / 1000.0 for v in self.bin_size_mm)
+        # Every point lies within the view frustum, no farther than the floor.
+        reach = np.linalg.norm([self.mount_height_m, bx * (1 + self.fov_margin) / 2,
+                                by * (1 + self.fov_margin) / 2])
+        if not np.isfinite(reach + _MAX_NORMAL_DRAW * self.noise_sigma_m):
+            raise ValueError("noise_sigma_m or the scene size is too large "
+                             "for finite noisy points")
         for box in self.boxes:
             corners = box.corners_world()
             if (np.abs(corners[:, 0]) > bx / 2 + 1e-9).any() or \
@@ -145,6 +165,8 @@ class SceneSpec:
                (corners[:, 2] < -1e-9).any():
                 raise ValueError("every box must sit inside the bin footprint, "
                                  "above the floor")
+            if (corners[:, 2] >= self.mount_height_m).any():
+                raise ValueError("every box corner must lie below the camera mount height")
 
     def sensor_from_world(self) -> RigidTransform:
         world_from_sensor = RigidTransform(
@@ -206,14 +228,25 @@ def scene_homography(scene: SceneSpec) -> Homography:
     ]))
 
 
-def _ray_directions(cam: _Camera) -> np.ndarray:
-    """Per-pixel ray directions in the sensor frame, z component 1, shape (h*w, 3)."""
-    u = np.arange(cam.width)
-    v = np.arange(cam.height)
-    uu, vv = np.meshgrid(u, v)
-    dirs = np.stack([(uu - cam.cx) / cam.fx, (vv - cam.cy) / cam.fy,
+def _ray_directions(cam: _Camera, rows: slice, cols: slice) -> np.ndarray:
+    """Ray directions in the sensor frame, z component 1, of the pixels in a
+    row and column window, shape (rows, cols, 3)."""
+    uu, vv = np.meshgrid(np.arange(cam.width)[cols], np.arange(cam.height)[rows])
+    return np.stack([(uu - cam.cx) / cam.fx, (vv - cam.cy) / cam.fy,
                      np.ones_like(uu, dtype=float)], axis=-1)
-    return dirs.reshape(-1, 3)
+
+
+def _pixel_window(corners_s: np.ndarray, cam: _Camera) -> tuple[slice, slice]:
+    """Rows and columns of the pixels whose rays can hit a convex body with
+    these sensor-frame corners, all in front of the camera: the corners'
+    projected bounding rectangle widened by 1 px on each side, clipped to the
+    frame."""
+    u = cam.fx * corners_s[:, 0] / corners_s[:, 2] + cam.cx
+    v = cam.fy * corners_s[:, 1] / corners_s[:, 2] + cam.cy
+    # Clip in float first: a corner close to the camera plane projects far out.
+    u0, u1 = np.clip([np.ceil(u.min() - 1), np.floor(u.max() + 1) + 1], 0, cam.width)
+    v0, v1 = np.clip([np.ceil(v.min() - 1), np.floor(v.max() + 1) + 1], 0, cam.height)
+    return slice(int(v0), int(v1)), slice(int(u0), int(u1))
 
 
 def _wall_boxes(scene: SceneSpec) -> list[BoxSpec]:
@@ -275,63 +308,68 @@ def _intersect_box(origin: np.ndarray, dirs: np.ndarray, box: BoxSpec
 
 
 def _cast(scene: SceneSpec, cam: _Camera, boxes: tuple[BoxSpec, ...] | None = None
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Nearest-hit ray cast. Returns flat arrays (t, kind, is_top, dirs).
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest-hit ray cast. Returns (t, kind, is_top) grids of shape (h, w).
 
     kind holds the box index for box hits, or the bin (floor and walls) or
-    miss marker.
+    miss marker. Each box is tested only against the rays of its pixel window.
     """
     if boxes is None:
         boxes = scene.boxes
     origin = np.array([0.0, 0.0, scene.mount_height_m])
-    dirs_s = _ray_directions(cam)
-    dirs_w = dirs_s @ _SENSOR_AXES_IN_WORLD.T
-
-    n = len(dirs_s)
-    t_best = np.full(n, np.inf)
-    kind = np.full(n, _KIND_MISS, dtype=np.int64)
-    is_top = np.zeros(n, dtype=bool)
+    shape = (cam.height, cam.width)
+    t_best = np.full(shape, np.inf)
+    kind = np.full(shape, _KIND_MISS, dtype=np.int64)
+    is_top = np.zeros(shape, dtype=bool)
 
     # Floor: the plane z=0 clipped to the bin footprint. dirs have sensor-z 1,
-    # so the hit parameter equals the mount height for every ray.
+    # so the hit parameter equals the mount height for every ray; world x is
+    # sensor x and world y is sensor -y.
     bx, by = (v / 1000.0 for v in scene.bin_size_mm)
     t_floor = scene.mount_height_m
-    floor_xy = origin[:2] + t_floor * dirs_w[:, :2]
-    on_floor = (np.abs(floor_xy[:, 0]) <= bx / 2) & (np.abs(floor_xy[:, 1]) <= by / 2)
+    floor_x = origin[0] + t_floor * ((np.arange(cam.width) - cam.cx) / cam.fx)
+    floor_y = origin[1] + t_floor * -((np.arange(cam.height) - cam.cy) / cam.fy)
+    on_floor = (np.abs(floor_y) <= by / 2)[:, None] & (np.abs(floor_x) <= bx / 2)
     t_best[on_floor] = t_floor
     kind[on_floor] = _KIND_BIN
 
+    sensor_from_world = scene.sensor_from_world()
     for idx, box in enumerate((*boxes, *_wall_boxes(scene))):
         is_box = idx < len(boxes)
+        rows, cols = _pixel_window(sensor_from_world.apply_array(box.corners_world()), cam)
+        dirs_w = _ray_directions(cam, rows, cols).reshape(-1, 3) @ _SENSOR_AXES_IN_WORLD.T
         t, top = _intersect_box(origin, dirs_w, box)
-        closer = t < t_best
-        t_best[closer] = t[closer]
-        kind[closer] = idx if is_box else _KIND_BIN
-        is_top[closer] = top[closer] & is_box
+        # Views of the window; writing through them fills the frame grids.
+        t_win, kind_win, top_win = t_best[rows, cols], kind[rows, cols], is_top[rows, cols]
+        t, top = t.reshape(t_win.shape), top.reshape(t_win.shape)
+        closer = t < t_win
+        t_win[closer] = t[closer]
+        kind_win[closer] = idx if is_box else _KIND_BIN
+        top_win[closer] = top[closer] & is_box
 
-    return t_best, kind, is_top, dirs_s
+    return t_best, kind, is_top
 
 
 def render_depth(scene: SceneSpec) -> OrganizedCloud:
     """Organized cloud in the sensor frame; pixels whose rays miss everything
     are invalid."""
     cam = depth_camera(scene)
-    t, kind, _, dirs_s = _cast(scene, cam)
+    t, kind, _ = _cast(scene, cam)
     valid = kind != _KIND_MISS
-    pts = np.where(valid[:, None], dirs_s * t[:, None], 0.0)
-    return OrganizedCloud(points=pts.reshape(cam.height, cam.width, 3),
-                          valid=valid.reshape(cam.height, cam.width))
+    dirs_s = _ray_directions(cam, slice(None), slice(None))
+    pts = np.where(valid[..., None], dirs_s * t[..., None], 0.0)
+    return OrganizedCloud(points=pts, valid=valid)
 
 
 def render_image(scene: SceneSpec) -> GrayImage:
     """Grayscale frame: visible box top faces at their intensity over the floor
     intensity, hard edges, no anti-aliasing."""
-    cam = rgb_camera(scene)
-    _, kind, is_top, _ = _cast(scene, cam)
-    img = np.full(len(kind), scene.floor_intensity, dtype=np.uint8)
-    for idx, box in enumerate(scene.boxes):
-        img[(kind == idx) & is_top] = box.face_intensity
-    return GrayImage(img.reshape(cam.height, cam.width))
+    _, kind, is_top = _cast(scene, rgb_camera(scene))
+    # Indexed by box; every pixel that is not a visible top face reads the
+    # trailing floor entry through index -1.
+    intensity = np.array([*(box.face_intensity for box in scene.boxes),
+                          scene.floor_intensity], dtype=np.uint8)
+    return GrayImage(intensity[np.where(is_top, kind, -1)])
 
 
 def add_depth_noise(cloud: OrganizedCloud, sigma: float, seed: int = 0) -> OrganizedCloud:
@@ -384,7 +422,7 @@ def ground_truth(scene: SceneSpec) -> list[GroundTruthEntry]:
     """
     cam = depth_camera(scene)
     sensor_from_world = scene.sensor_from_world()
-    _, kind_full, is_top_full, _ = _cast(scene, cam)
+    _, kind_full, is_top_full = _cast(scene, cam)
 
     quads = [_projected_top_quad(box, scene, cam) for box in scene.boxes]
     entries: list[GroundTruthEntry] = []
@@ -401,7 +439,7 @@ def ground_truth(scene: SceneSpec) -> list[GroundTruthEntry]:
         euler = euler_zyx_from_rotation(rot)
 
         visible = int(((kind_full == idx) & is_top_full).sum())
-        _, kind_solo, is_top_solo, _ = _cast(scene, cam, boxes=(box,))
+        _, kind_solo, is_top_solo = _cast(scene, cam, boxes=(box,))
         solo = int(((kind_solo == 0) & is_top_solo).sum())
         visibility = visible / solo if solo else 0.0
 

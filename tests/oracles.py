@@ -12,6 +12,9 @@ per-neighborhood formulations, kept so that the batched versions can be
 checked against them. ``slab_intersect_box`` and ``points_inside_quad_loop``
 are the synthetic renderer's earlier caster and child test: all three slabs
 of every ray in one ``(n, 3)`` array, and one point and one edge at a time.
+``cast_all_rays`` is its earlier frame cast, which tests every box against
+every ray of the frame rather than against its pixel window; it shares the
+per-box slab test with the library, which ``slab_intersect_box`` checks.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from typing import Optional
 import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
+
+from binpick import synth
 
 
 def brute_radius(points: np.ndarray, query: np.ndarray, r: float) -> np.ndarray:
@@ -572,6 +577,46 @@ def slab_intersect_box(origin: np.ndarray, dirs: np.ndarray, box
 
     t = np.where(hit, t_enter, np.inf)
     return t, top & hit
+
+
+def cast_all_rays(scene, cam, boxes=None):
+    """Nearest-hit ray cast of every box against every ray of the frame.
+    Returns flat arrays (t, kind, is_top, dirs).
+
+    kind holds the box index for box hits, or the bin (floor and walls) or
+    miss marker.
+    """
+    if boxes is None:
+        boxes = scene.boxes
+    origin = np.array([0.0, 0.0, scene.mount_height_m])
+    uu, vv = np.meshgrid(np.arange(cam.width), np.arange(cam.height))
+    dirs_s = np.stack([(uu - cam.cx) / cam.fx, (vv - cam.cy) / cam.fy,
+                       np.ones_like(uu, dtype=float)], axis=-1).reshape(-1, 3)
+    dirs_w = dirs_s @ synth._SENSOR_AXES_IN_WORLD.T
+
+    n = len(dirs_s)
+    t_best = np.full(n, np.inf)
+    kind = np.full(n, synth._KIND_MISS, dtype=np.int64)
+    is_top = np.zeros(n, dtype=bool)
+
+    # Floor: the plane z=0 clipped to the bin footprint. dirs have sensor-z 1,
+    # so the hit parameter equals the mount height for every ray.
+    bx, by = (v / 1000.0 for v in scene.bin_size_mm)
+    t_floor = scene.mount_height_m
+    floor_xy = origin[:2] + t_floor * dirs_w[:, :2]
+    on_floor = (np.abs(floor_xy[:, 0]) <= bx / 2) & (np.abs(floor_xy[:, 1]) <= by / 2)
+    t_best[on_floor] = t_floor
+    kind[on_floor] = synth._KIND_BIN
+
+    for idx, box in enumerate((*boxes, *synth._wall_boxes(scene))):
+        is_box = idx < len(boxes)
+        t, top = synth._intersect_box(origin, dirs_w, box)
+        closer = t < t_best
+        t_best[closer] = t[closer]
+        kind[closer] = idx if is_box else synth._KIND_BIN
+        is_top[closer] = top[closer] & is_box
+
+    return t_best, kind, is_top, dirs_s
 
 
 def points_inside_quad_loop(points: np.ndarray, quad: np.ndarray) -> bool:

@@ -23,12 +23,16 @@ from binpick.pipeline import PipelineConfig
 from binpick.segmentation import PHASES, BinaryMask
 from binpick.synth import (
     SceneSpec,
+    _cast,
     add_depth_noise,
+    depth_camera,
     render_depth,
     render_image,
+    rgb_camera,
     scene_homography,
 )
 
+from . import oracles
 from .test_synth import make_box
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -122,3 +126,17 @@ def test_setup_render_matches_direct_synth_calls(render):
         assert np.array_equal(arrays[f"v{v}f{f}_image"], render_image(scene).pixels)
         assert np.array_equal(arrays[f"v{v}f{f}_points"], cloud.points)
         assert np.array_equal(arrays[f"v{v}f{f}_valid"], cloud.valid)
+
+
+def test_setup_frames_cast_like_the_full_frame_oracle(render):
+    """Every frame of every workload, RGB and depth, casts to the same t, kind
+    and top-face grids when each box is tested only against its pixel window
+    as when it is tested against every ray of the frame."""
+    for workload in render.WORKLOADS.values():
+        for v in range(render.VARIANTS):
+            for scene, _, _ in render.frames_of(workload, v):
+                for cam in (depth_camera(scene), rgb_camera(scene)):
+                    shape = (cam.height, cam.width)
+                    ref = oracles.cast_all_rays(scene, cam)[:3]
+                    for got, want in zip(_cast(scene, cam), ref):
+                        assert np.array_equal(got, want.reshape(shape)), (workload.name, v)

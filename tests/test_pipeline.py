@@ -614,6 +614,7 @@ class TestCli:
         ({"face_intensity": 1.5}, ()),
         ({"bin_size_mm": [0, 400], "boxes": []}, ()),
         ({"bin_size_mm": [-600, 400], "boxes": []}, ()),
+        ({"bin_size_mm": [5e-324, 400], "boxes": []}, ()),
         ({"fov_margin": float("inf")}, ()), ({"mount_height_m": float("nan")}, ()),
         ({"mount_height_m": True}, ()), ({"noise_sigma_m": float("nan")}, ()),
         ({"wall_height_mm": float("nan")}, ()), ({"depth_resolution": [40.7, 30]}, ()),
@@ -621,15 +622,22 @@ class TestCli:
         ({"position_mm": [0, float("nan"), 30]}, ()),
         ({"dimensions_mm": [30, 30, 10], "position_mm": [0, 0, 5],
           "allow_undersize": "no"}, ()),
+        ({"mount_height_m": 0.05}, ()), ({"mount_height_m": 0.06}, ()),
+        ({"wall_height_mm": 1200}, ()), ({"wall_height_mm": 1e308}, ()),
+        ({"mount_height_m": 1e308}, ()), ({"noise_sigma_m": 1e308}, ()),
     ], ids=["negative-seed", "negative-seed-flag", "seed-true", "seed-fraction",
             "floor-intensity-true", "floor-intensity-fraction", "face-intensity-true",
-            "face-intensity-fraction", "bin-size-zero", "bin-size-negative",
+            "face-intensity-fraction", "bin-size-zero", "bin-size-negative", "bin-size-underflow",
             "fov-margin-infinite", "mount-height-nan", "mount-height-true", "noise-nan",
             "wall-height-nan", "resolution-fraction", "box-dimension-nan",
-            "box-position-nan", "undersize-flag-string"])
+            "box-position-nan", "undersize-flag-string", "camera-inside-box",
+            "box-top-at-camera", "wall-top-at-camera", "wall-height-huge",
+            "mount-height-huge", "noise-huge"])
     def test_bad_scene_integer_is_input_error(self, tmp_path, scene, flags):
         """Scene numbers that are not finite, not positive where a size must
-        be, fractional where a count must be, or of the wrong type."""
+        be, fractional where a count must be, or of the wrong type; a box or
+        wall that reaches the camera; a camera or noise so large that the
+        intrinsics or the noisy points would not be finite."""
         box_keys = {"dimensions_mm", "position_mm", "face_intensity", "allow_undersize"}
         box = {"dimensions_mm": [120, 100, 60], "position_mm": [0, 0, 30],
                **{k: v for k, v in scene.items() if k in box_keys}}

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from binpick.core import EulerZYX
 from binpick.synth import (
     BoxSpec,
     SceneSpec,
+    _cast,
     _intersect_box,
     _points_strictly_inside_quad,
     add_depth_noise,
@@ -19,6 +21,7 @@ from binpick.synth import (
     ground_truth,
     render_depth,
     render_image,
+    rgb_camera,
     scene_from_dict,
     scene_homography,
 )
@@ -188,6 +191,101 @@ class TestCasterAgainstReference:
         for group in points.reshape(-1, 4, 2):
             assert _points_strictly_inside_quad(group, quad) == \
                 oracles.points_inside_quad_loop(group, quad)
+
+
+def assert_same_as_full_frame_cast(scene):
+    for cam in (depth_camera(scene), rgb_camera(scene)):
+        t, kind, is_top = _cast(scene, cam)
+        ref_t, ref_kind, ref_top, _ = oracles.cast_all_rays(scene, cam)
+        shape = (cam.height, cam.width)
+        assert np.array_equal(t, ref_t.reshape(shape))
+        assert np.array_equal(kind, ref_kind.reshape(shape))
+        assert np.array_equal(is_top, ref_top.reshape(shape))
+
+
+def random_box(rng, scene, placement):
+    """A box inside the scene's bin and below its camera.
+
+    "free" and "flush" boxes take an Euler rotation with tilt; a "flush" box
+    touches a bin side, which under a 0 FOV margin is the frame border. A
+    "snapped" box is axis-aligned with the edges of its top or bottom face
+    projecting onto pixel centers of one camera, where the window bound and
+    the slab test round either way. A "near" box has its top within 1e-6 m
+    of the camera.
+    """
+    bx, by = (v / 1000.0 for v in scene.bin_size_mm)
+    mount = scene.mount_height_m
+    if placement == "snapped":
+        cam = (depth_camera, rgb_camera)[rng.integers(2)](scene)
+        z_top = rng.uniform(0.02, 0.3)
+        depth = (mount - z_top, mount)[rng.integers(2)]  # snap the top or bottom face
+        u_reach, v_reach = cam.fx * bx / 2 / depth, cam.fy * by / 2 / depth
+        cols = rng.choice(np.arange(np.ceil(cam.cx - u_reach), np.floor(cam.cx + u_reach) + 1),
+                          2, replace=False)
+        rows = rng.choice(np.arange(np.ceil(cam.cy - v_reach), np.floor(cam.cy + v_reach) + 1),
+                          2, replace=False)
+        x = (cols - cam.cx) * depth / cam.fx
+        y = -(rows - cam.cy) * depth / cam.fy
+        return BoxSpec(dimensions_mm=(abs(x[1] - x[0]) * 1000, abs(y[1] - y[0]) * 1000,
+                                      z_top * 1000),
+                       pose=RigidTransform(np.eye(3), Point3(x.mean(), y.mean(), z_top / 2)),
+                       allow_undersize=True)
+    angles = (rng.uniform(-180, 180), rng.uniform(-90, 90), rng.uniform(-180, 180))
+    rot = euler_zyx_to_rotation(EulerZYX(*angles))
+    dims = tuple(rng.uniform(20, 200, 3))
+    offsets = BoxSpec(dimensions_mm=dims, pose=RigidTransform(rot, Point3(0.0, 0.0, 0.0)),
+                      allow_undersize=True).corners_world()
+    lo, hi = offsets.min(0), offsets.max(0)
+    center = rng.uniform(-np.array([bx, by, 0.0]) / 2 - lo,
+                         np.array([bx / 2, by / 2, mount - 1e-3]) - hi)
+    if placement == "flush":
+        axis = rng.integers(2)
+        center[axis] = ((bx, by)[axis] / 2 - hi[axis] if rng.integers(2)
+                        else -(bx, by)[axis] / 2 - lo[axis])
+    elif placement == "near":
+        center[2] = mount - rng.uniform(1e-9, 1e-6) - hi[2]
+    return BoxSpec(dimensions_mm=dims, pose=RigidTransform(rot, Point3(*center)),
+                   allow_undersize=True)
+
+
+class TestWindowedCast:
+    """Testing each box only against the rays of its pixel window gives the
+    same t, kind and top-face flags, bit for bit, as testing it against every
+    ray of the frame."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_boxes=st.integers(1, 4),
+           placements=st.lists(st.sampled_from(["free", "flush", "snapped"]),
+                               min_size=4, max_size=4),
+           near_camera=st.booleans(), walls=st.booleans(),
+           fov_margin=st.sampled_from([0.0, 0.1]),
+           depth_resolution=st.tuples(st.integers(2, 48), st.integers(2, 48)),
+           rgb_resolution=st.tuples(st.integers(2, 96), st.integers(2, 96)))
+    def test_random_scenes(self, seed, n_boxes, placements, near_camera, walls,
+                           fov_margin, depth_resolution, rgb_resolution):
+        rng = np.random.default_rng(seed)
+        scene = SceneSpec(mount_height_m=rng.uniform(0.5, 1.5),
+                          wall_height_mm=150.0 if walls else 0.0, fov_margin=fov_margin,
+                          depth_resolution=depth_resolution, rgb_resolution=rgb_resolution)
+        if near_camera:
+            placements = ["near", *placements]
+        boxes = [random_box(rng, scene, placement) for placement in placements[:n_boxes]]
+        assert_same_as_full_frame_cast(replace(scene, boxes=tuple(boxes)))
+
+    @pytest.mark.parametrize("mount, resolution, dims_mm, position_m", [
+        (1.305, (9, 53), (192.35249042145597, 40.0, 164.0), (-0.03205874840357596, 0.0, 0.082)),
+        (1.305, (9, 53), (40.0, 94.36159907467652, 164.0), (0.0, 0.13428381406780884, 0.082)),
+        (0.706, (60, 47), (107.53824362606234, 40.0, 213.0), (0.1651480169971671, 0.0, 0.1065)),
+        (0.572, (57, 21), (40.0, 285.3846153846154, 201.0), (0.0, 0.04756410256410259, 0.1005)),
+    ], ids=["first-column", "first-row", "last-column", "last-row"])
+    def test_edge_hit_past_rounded_bound(self, mount, resolution, dims_mm, position_m):
+        """A top-face edge projects onto a pixel center, its projected bound
+        rounds to the far side of that center, and the slab test still hits
+        the pixel: each end of the window needs its 1 px margin."""
+        box = BoxSpec(dimensions_mm=dims_mm, pose=RigidTransform(np.eye(3), Point3(*position_m)),
+                      allow_undersize=True)
+        assert_same_as_full_frame_cast(SceneSpec(boxes=(box,), mount_height_m=mount,
+                                                 rgb_resolution=resolution))
 
 
 class TestRenderImage:
