@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage, sparse
+from scipy import sparse
 from scipy.sparse import csgraph
 
 # Gradient kernels applied by cross-correlation; x increases right, y increases down.
@@ -45,10 +45,6 @@ DEFAULT_CANNY_SIGMA = 0.33
 
 # Picking phases, which are also the roles of the masks they emit.
 PHASES = ("child", "parent")
-
-_FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-_EIGHT_CONN = np.ones((3, 3), dtype=bool)
-
 
 @dataclass(frozen=True)
 class GrayImage:
@@ -259,10 +255,32 @@ def _eight_connected_components(pixels: np.ndarray, w: int) -> np.ndarray:
         found = inside & (pixels[np.minimum(j, len(pixels) - 1)] == target)
         src.append(np.flatnonzero(found))
         dst.append(j[found])
-    src, dst = np.concatenate(src), np.concatenate(dst)
-    graph = sparse.csr_matrix((np.ones(len(src), dtype=np.int8), (src, dst)),
-                              shape=(len(pixels), len(pixels)))
+    return _components(len(pixels), np.concatenate(src), np.concatenate(dst))
+
+
+def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of ``n`` nodes under the undirected
+    links ``src[i]``-``dst[i]``."""
+    graph = sparse.csr_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n))
     return csgraph.connected_components(graph, directed=False)[1]
+
+
+def _span_links(line: np.ndarray, x0: np.ndarray, x1: np.ndarray, reach: int,
+                w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Links (i, j) between column spans [x0, x1) within 0..w, sorted by
+    (line, x0) and disjoint on each line, where span j lies on line
+    ``line[i] + 1`` and overlaps span i widened by ``reach`` columns on each
+    side: reach 0 links 4-connected pixel runs, reach 1 8-connected ones.
+
+    The spans of the next line that qualify are one contiguous stretch, found
+    by two binary searches over the keys line * (w + 1) + column.
+    """
+    below = (line + 1) * (w + 1)
+    lo = np.searchsorted(line * (w + 1) + x1, below + x0 - reach, side="right")
+    hi = np.searchsorted(line * (w + 1) + x0, below + x1 + reach, side="left")
+    count = np.maximum(hi - lo, 0)
+    src = np.repeat(np.arange(len(line)), count)
+    return src, np.arange(len(src)) + np.repeat(lo - np.cumsum(count) + count, count)
 
 
 def find_contours(edges: np.ndarray) -> list[Contour]:
@@ -270,81 +288,118 @@ def find_contours(edges: np.ndarray) -> list[Contour]:
 
     The edge bitmap gets one pass of 3x3 dilation to close single-pixel gaps.
     Each 4-connected free-space component that does not touch the image border
-    becomes one contour; nesting links a contour to the smallest enclosing one.
-    Open chains that merely touch the border enclose nothing and are dropped.
+    becomes one contour, in raster order of its first pixel; nesting links a
+    contour to the smallest enclosing one. Open chains that merely touch the
+    border enclose nothing and are dropped.
 
     A contour's filled polygon is its region plus the region's holes: the
     8-connected components of the rest of its bounding box that do not reach
     the box's outside (8-connected holes are the dual of 4-connected regions).
+
+    Everything is computed over the horizontal runs of the free space, not
+    its pixels: regions link runs that overlap in consecutive rows, and the
+    rest of a region's box is, row by row, the gaps between the region's runs
+    and the sides before its first and after its last run. The sides and
+    every gap in the box's top or bottom row reach the outside; a gap is a
+    hole unless it is 8-connected to one of those. A region's parent is the
+    innermost contour with a hole gap over the region's first pixel.
     """
     e = np.asarray(edges, dtype=bool)
     if e.size == 0 or not e.any():
         return []
     h, w = e.shape
     # 3x3 dilation as two separable passes of shifted ORs; nothing lies
-    # beyond the border.
+    # beyond the border. The free space goes between two columns that are
+    # never free, so every run starts and ends at a change along its row.
     rows = e.copy()
     rows[:, 1:] |= e[:, :-1]
     rows[:, :-1] |= e[:, 1:]
-    dilated = rows.copy()
-    dilated[1:] |= rows[:-1]
-    dilated[:-1] |= rows[1:]
+    free = np.zeros((h, w + 2), dtype=bool)
+    inner = free[:, 1:-1]
+    inner[...] = rows
+    inner[1:] |= rows[:-1]
+    inner[:-1] |= rows[1:]
+    del rows
+    np.logical_not(inner, out=inner)
+    change = np.flatnonzero(free[:, 1:] != free[:, :-1])
+    del free, inner
+    y, x0 = np.divmod(change[0::2], w + 1)
+    x1 = change[1::2] - y * (w + 1)
 
-    free_labels, n_free = ndimage.label(~dilated, structure=_FOUR_CONN)
-    is_enclosed = np.ones(n_free + 1, dtype=bool)
-    is_enclosed[0] = False  # the dilated edges
-    for edge in (free_labels[0], free_labels[-1], free_labels[:, 0], free_labels[:, -1]):
-        is_enclosed[edge] = False
-    enclosed = np.flatnonzero(is_enclosed)
-    if enclosed.size == 0:
+    region = _components(len(y), *_span_links(y, x0, x1, 0, w))
+    is_open = np.zeros(len(y), dtype=bool)
+    is_open[region[(y == 0) | (y == h - 1) | (x0 == 0) | (x1 == w)]] = True
+    keep = ~is_open[region]
+    if not keep.any():
         return []
-    boxes = _label_boxes(free_labels, is_enclosed)
+    y, x0, x1, region = y[keep], x0[keep], x1[keep], region[keep]
 
-    # Labels ascend in raster order of first pixels, so a container comes
-    # before what it holds, and filled polygons are nested or disjoint: the
-    # last contour painted over a region's first pixel is its parent.
-    owner = np.zeros(h * w, dtype=np.int32)  # contour index + 1, 0 for none
+    # Group the runs by region, regions in raster order of their first runs
+    # and runs in raster order within each.
+    _, first, inverse = np.unique(region, return_index=True, return_inverse=True)
+    lead = first[inverse]
+    order = np.argsort(lead, kind="stable")
+    y, x0, x1, lead = y[order], x0[order], x1[order], lead[order]
+    m = len(y)
+    bounds = np.flatnonzero(np.r_[True, lead[1:] != lead[:-1], True])
+    head = bounds[:-1]
+    cid = np.repeat(np.arange(len(head)), np.diff(bounds))
+    top, bottom = y[head], y[bounds[1:] - 1]
+    left, right = np.minimum.reduceat(x0, head), np.maximum.reduceat(x1, head)
+
+    # The rest of the box, two spans per run: the one before it (the box
+    # side for a line's first run, else the gap after the previous run) and
+    # the one after it (the box side for a line's last run, else empty).
+    new_line = np.r_[True, (cid[1:] != cid[:-1]) | (y[1:] != y[:-1])]
+    end_line = np.r_[new_line[1:], True]
+    prev_x1 = np.r_[0, x1[:-1]]
+    lo = np.stack([np.where(new_line, left[cid], prev_x1), x1], axis=1).ravel()
+    hi = np.stack([x0, np.where(end_line, right[cid], x1)], axis=1).ravel()
+    outside = np.stack([new_line, np.ones(m, dtype=bool)], axis=1).ravel()
+    outside |= np.repeat((y == top[cid]) | (y == bottom[cid]), 2)
+    real = np.flatnonzero(hi > lo)
+    line = np.repeat(cid * (h + 1) + y, 2)[real]  # one box's rows are consecutive lines
+    piece = _components(len(real), *_span_links(line, lo[real], hi[real], 1, w))
+    reaches = np.zeros(len(real), dtype=bool)
+    reaches[piece[outside[real]]] = True
+    hole = np.zeros(2 * m, dtype=bool)
+    hole[real] = ~reaches[piece]
+    hole = hole[0::2]  # only gaps before a run can be holes
+
+    # Depth counts the hole gaps over a region's first pixel: those that
+    # start at or before it less those that end at or before it. Gaps of
+    # contours at one depth are disjoint, so the parent's gap is the last
+    # one at depth - 1 that starts at or before that pixel.
+    gy, gx0, gx1, owner = y[hole], prev_x1[hole], x0[hole], cid[hole]
+    fy, fx = y[head], x0[head]
+    pixel = fy * (w + 1) + fx
+    depth = (np.searchsorted(np.sort(gy * (w + 1) + gx0), pixel, side="right")
+             - np.searchsorted(np.sort(gy * (w + 1) + gx1), pixel, side="right"))
+    levels = int(depth.max()) + 1
+    by_level = (gy * levels + depth[owner]) * (w + 1) + gx0
+    order = np.argsort(by_level)
+    parent = np.full(len(head), -1)
+    nested = np.flatnonzero(depth > 0)
+    at = np.searchsorted(by_level[order], ((fy * levels + depth - 1) * (w + 1) + fx)[nested],
+                         side="right") - 1
+    parent[nested] = owner[order[at]]
+
+    # Each run, widened left over a hole gap before it, is one filled span.
+    fill_x0 = np.where(hole, prev_x1, x0)
+    length = x1 - fill_x0
+    offset = np.r_[0, np.cumsum(length)]
+    base = y * w + fill_x0 - offset[:-1]
     contours: list[Contour] = []
-    for lab, (ys, xs) in zip(enclosed, boxes):
-        rest, _ = ndimage.label(np.pad(free_labels[ys, xs] != lab, 1, constant_values=True),
-                                structure=_EIGHT_CONN)
-        fy, fx = np.nonzero(rest[1:-1, 1:-1] != rest[0, 0])
-        filled = (fy + ys.start) * w + (fx + xs.start)
-        parent = int(owner[filled[0]]) - 1
-        owner[filled] = len(contours) + 1
+    for a, b, p, d in zip(head.tolist(), bounds[1:].tolist(), parent.tolist(), depth.tolist()):
+        filled = np.repeat(base[a:b], length[a:b]) + np.arange(offset[a], offset[b])
         contours.append(Contour(
             area=float(filled.size),
-            parent_index=parent if parent >= 0 else None,
-            depth=contours[parent].depth + 1 if parent >= 0 else 0,
+            parent_index=p if p >= 0 else None,
+            depth=d,
             filled_indices=filled,
             shape=(h, w),
         ))
     return contours
-
-
-def _label_boxes(labels: np.ndarray, selected: np.ndarray) -> list[tuple[slice, slice]]:
-    """Bounding box (row slice, column slice) of each label flagged in
-    ``selected``, in label order, read off the horizontal runs of the label
-    image instead of a scan per label."""
-    h, w = labels.shape
-    flat = labels.ravel()
-    starts = np.empty(h * w, dtype=bool)
-    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
-    starts[::w] = True  # every row starts a run
-    starts = np.flatnonzero(starts)
-    ends = np.append(starts[1:], h * w) - 1  # a run ends where the next starts
-    lab = flat[starts]
-    keep = selected[lab]
-    starts, ends, lab = starts[keep], ends[keep], lab[keep]
-    order = np.argsort(lab, kind="stable")  # raster order within each label
-    starts, ends, lab = starts[order], ends[order], lab[order]
-    first = np.flatnonzero(np.r_[True, lab[1:] != lab[:-1]])
-    last = np.r_[first[1:], len(lab)] - 1
-    y0, y1 = starts[first] // w, ends[last] // w
-    x0 = np.minimum.reduceat(starts % w, first)
-    x1 = np.maximum.reduceat(ends % w, first)
-    return [(slice(a, b + 1), slice(c, d + 1))
-            for a, b, c, d in zip(y0.tolist(), y1.tolist(), x0.tolist(), x1.tolist())]
 
 
 def scaled_min_area(min_area_at_reference: float, width: int, height: int) -> float:

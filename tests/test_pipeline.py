@@ -357,6 +357,23 @@ class TestVerify:
         table = verify_against_ground_truth(report, truth, match_radius_mm=30)
         assert table["misses"] == 1 and table["unmatched_poses"] == 1
 
+    def test_report_json_round_trip(self):
+        # the four-box scene of acceptance criterion 6, at 640x480
+        boxes = (
+            make_box((140, 120, 60), (-180, -100, 30), intensity=200),
+            make_box((130, 110, 50), (150, 100, 25), intensity=195),
+            make_box((100, 90, 45), (120, -120, 22.5), rot_zyx_deg=(30, 0, 0), intensity=170),
+            make_box((110, 80, 55), (-120, 130, 27.5), rot_zyx_deg=(-20, 0, 0), intensity=215),
+        )
+        scene = SceneSpec(boxes=boxes, rgb_resolution=(640, 480))
+        img, cloud, config = synth_inputs(scene)
+        report = run_pipeline(config, img, cloud, "parent")
+        truth = ground_truth(scene)
+        table = verify_against_ground_truth(report, truth)
+        assert len(table["matches"]) == 4
+        replayed = json.loads(json.dumps(report.to_dict()))
+        assert verify_against_ground_truth(replayed, truth) == table
+
     def test_rotation_error_wraps(self):
         scene = SceneSpec(boxes=(make_box((120, 100, 60), (0, 0, 30)),),
                           rgb_resolution=(448, 344))
@@ -440,6 +457,14 @@ _CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "binpick.cli", *args],
                           capture_output=True, text=True, env=_CLI_ENV)
+
+
+def test_import_leaves_scipy_ndimage_unloaded():
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, binpick; print('scipy.ndimage' in sys.modules)"],
+                         capture_output=True, text=True, env=_CLI_ENV)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 @pytest.fixture(scope="module")

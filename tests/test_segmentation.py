@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from binpick.segmentation import (
@@ -403,6 +403,68 @@ class TestFindContoursAgainstFullFrameReference:
         assert e.shape == (17, 19)
         _assert_matches_reference(e)
         assert [c.area for c in find_contours(e)] == [34]
+
+    def test_four_nested_rings(self):
+        e = np.zeros((40, 40), dtype=bool)
+        for k in range(4):
+            e |= ring_bitmap(40, 40, 2 + 5 * k, 37 - 5 * k, 2 + 5 * k, 37 - 5 * k)
+        _assert_matches_reference(e)
+        contours = find_contours(e)
+        assert [c.depth for c in contours] == [0, 1, 2, 3]
+        assert [c.parent_index for c in contours] == [None, 0, 1, 2]
+
+    def test_sibling_hole_left_of_child_on_its_first_row(self):
+        # Inside one region, a ring region with a hole (left) and a ring
+        # whose dilated stroke merges with it (right). On the right ring's
+        # first row, the left ring's hole gap starts after the outer region's
+        # gap and ends before the right region's first pixel: the parent is
+        # the outer region, not the left ring.
+        e = (ring_bitmap(40, 80, 1, 38, 1, 78) | ring_bitmap(40, 80, 8, 30, 6, 30)
+             | ring_bitmap(40, 80, 14, 24, 12, 24) | ring_bitmap(40, 80, 17, 28, 32, 50))
+        _assert_matches_reference(e)
+        contours = find_contours(e)
+        right = max(range(len(contours)), key=lambda i: contours[i].filled_indices[0] % 80)
+        assert contours[right].parent_index == 0 and contours[right].depth == 1
+
+    def test_row_split_by_hole_and_by_notch(self):
+        # A U outline with a ring in its left arm: the rows through the ring
+        # split the region's runs at a hole and, further right, at the notch,
+        # which reaches the box's outside only through the box's top row.
+        mask = np.zeros((44, 64), dtype=bool)
+        mask[4:40, 4:60] = True
+        mask[:25, 30:40] = False
+        e = (mask & ~ndimage.binary_erosion(mask)) | ring_bitmap(44, 64, 12, 22, 10, 20)
+        _assert_matches_reference(e)
+        outer = find_contours(e)[0]
+        notch = np.zeros((44, 64), dtype=bool)
+        notch[:25, 30:40] = True
+        assert not notch.ravel()[outer.filled_indices].any()
+        assert 17 * 64 + 15 in outer.filled_indices  # the ring's interior
+
+    def test_one_pixel_border_contact_is_not_enclosed(self):
+        # A ring whose right stroke, in column w - 2, breaks for three rows:
+        # the free space inside meets the border at row 10, column w - 1 only.
+        e = ring_bitmap(20, 30, 3, 16, 3, 28)
+        e[9:12, 28] = False
+        free, _ = ndimage.label(~ndimage.binary_dilation(e, structure=np.ones((3, 3))))
+        inside = free == free[10, 10]
+        border = np.ones_like(inside)
+        border[1:-1, 1:-1] = False
+        assert np.argwhere(inside & border).tolist() == [[10, 29]]
+        _assert_matches_reference(e)
+        assert find_contours(e) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(h=st.integers(1, 40), w=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           density=st.floats(0.0, 0.4))
+    @example(h=1, w=1, seed=0, density=0.4)
+    @example(h=1, w=25, seed=3, density=0.1)
+    @example(h=25, w=1, seed=3, density=0.1)
+    @example(h=17, w=23, seed=0, density=0.0)
+    @example(h=17, w=23, seed=0, density=1.0)
+    def test_dense_random_maps(self, h, w, seed, density):
+        e = np.random.default_rng(seed).random((h, w)) < density
+        _assert_matches_reference(e)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_rings=st.integers(0, 6),
