@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 DEFAULT_MIN_CLUSTER_SIZE = 30
 
@@ -73,6 +72,8 @@ def core_distances(points: np.ndarray, k: int) -> np.ndarray:
         raise ValueError("k must be at least 1")
     if len(pts) <= k:
         raise ValueError(f"need more than k={k} points, got {len(pts)}")
+    from scipy.spatial import cKDTree
+
     d, _ = cKDTree(pts).query(pts, k=k + 1)
     return d[:, k]
 

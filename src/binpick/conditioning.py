@@ -12,9 +12,12 @@ pair order, deterministic for a given input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 DEFAULT_SOR_K = 8
 DEFAULT_SOR_ALPHA = 1.0
@@ -28,8 +31,10 @@ _SENSOR_ORIGIN = np.zeros(3)
 class NormalField:
     """Per-point unit normals at two support radii and their halved difference.
 
-    ``defined`` marks points with a valid normal at both radii; undefined rows
-    hold zeros. ``don`` has norm in [0, 1] everywhere it is defined.
+    ``n_small`` faces the viewpoint and ``n_large`` takes the sign that agrees
+    with ``n_small``. ``defined`` marks points with a valid normal at both
+    radii; undefined rows hold zeros. ``don`` has norm in [0, 1] everywhere it
+    is defined.
     """
 
     n_small: np.ndarray
@@ -74,6 +79,8 @@ def statistical_outlier_removal(points: np.ndarray, k: int = DEFAULT_SOR_K,
         raise ValueError("k must be at least 1")
     if len(pts) <= k:
         raise ValueError(f"need more than k={k} points, got {len(pts)}")
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(pts)
     d, _ = tree.query(pts, k=k + 1)
     mean_d = d[:, 1:].mean(axis=1)
@@ -136,6 +143,7 @@ def mls_resample(points: np.ndarray, radius: float,
     if n == 0:
         return pts.copy()
     exps = _DESIGN_EXPONENTS[:(order + 1) * (order + 2) // 2]
+    from scipy.spatial import cKDTree
 
     pairs, counts = _radius_pairs(cKDTree(pts), radius)
     act = counts >= len(exps)
@@ -203,16 +211,22 @@ def compute_normal_field(points: np.ndarray, r_small: float, r_large: float,
                          viewpoint=_SENSOR_ORIGIN) -> NormalField:
     """Normals at both support radii plus their halved difference per point.
 
-    Both normals are oriented toward the viewpoint before differencing so the
-    difference norm reflects geometry, not sign ambiguity.
+    The small-radius normal is oriented toward the viewpoint and the
+    large-radius normal takes the sign that agrees with it, so the difference
+    norm reflects geometry, not sign ambiguity. A surface seen edge-on, whose
+    normals are nearly perpendicular to the view ray, keeps its norms when the
+    viewpoint moves.
     """
     if not 0 < r_small < r_large:
         raise ValueError("radii must satisfy 0 < r_small < r_large")
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     view = np.asarray(viewpoint, dtype=float).reshape(3)
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(pts)
     n_s, def_s = _batched_normals(pts, tree, r_small, view)
     n_l, def_l = _batched_normals(pts, tree, r_large, view)
+    n_l[np.einsum("mi,mi->m", n_s, n_l) < 0] *= -1.0
     defined = def_s & def_l
     don = np.zeros_like(n_s)
     don[defined] = (n_s[defined] - n_l[defined]) / 2.0

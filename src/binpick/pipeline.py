@@ -330,8 +330,10 @@ def verify_against_ground_truth(report: DetectionReport | dict,
     absolute per-axis translation (mm) and wrapped per-axis rotation (deg),
     summarized by their means. A report whose poses are not a list of objects
     with three ``centroid_mm`` and three ``euler_zyx_deg`` numbers each is an
-    InputError.
+    InputError; a match radius that is not a finite number > 0 is a ConfigError.
     """
+    if not (is_finite_number(match_radius_mm) and match_radius_mm > 0):
+        raise ConfigError(f"match radius must be a finite number > 0, got {match_radius_mm!r}")
     if isinstance(report, DetectionReport):
         report = report.to_dict()
     try:

@@ -252,6 +252,23 @@ class TestDonFilter:
                 if field.defined[i]:
                     assert got == pytest.approx(n, abs=1e-9)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_edge_on_face_same_from_either_viewpoint(self, seed):
+        # a fold of two perpendicular faces: one on z = 1, the other close to
+        # the plane x = 0, which passes through both viewpoints, so its
+        # normals are nearly perpendicular to every view ray
+        rng = np.random.default_rng(seed)
+        flat = np.column_stack([rng.uniform(0, 0.06, 300), rng.uniform(-0.03, 0.03, 300),
+                                np.ones(300)])
+        wall = np.column_stack([rng.normal(0, 1e-4, 300), rng.uniform(-0.03, 0.03, 300),
+                                rng.uniform(0.94, 1.0, 300)])
+        pts = np.vstack([flat, wall])
+        views = (np.zeros(3), np.array([0, 0.3, -0.2]))
+        fields = [compute_normal_field(pts, 0.01, 0.025, viewpoint=v) for v in views]
+        assert np.array_equal(*(np.linalg.norm(f.don, axis=1) for f in fields))
+        assert np.array_equal(*(don_filter(pts, 0.01, 0.025, viewpoint=v) for v in views))
+
     def test_don_norm_bounded_by_one(self):
         rng = np.random.default_rng(8)
         pts = rng.uniform(0, 0.2, size=(300, 3))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ from binpick.synth import (
     ground_truth,
     render_depth,
     render_image,
+    scene_from_dict,
     scene_homography,
     scene_without_boxes,
 )
@@ -459,12 +461,50 @@ def run_cli(*args):
                           capture_output=True, text=True, env=_CLI_ENV)
 
 
-def test_import_leaves_scipy_ndimage_unloaded():
-    out = subprocess.run([sys.executable, "-c",
-                          "import sys, binpick; print('scipy.ndimage' in sys.modules)"],
+def run_python(code, *args):
+    out = subprocess.run([sys.executable, "-c", code, *args],
                          capture_output=True, text=True, env=_CLI_ENV)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    return out.stdout
+
+
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_import_loads_no_scipy():
+    for module in ("binpick", "binpick.synth", "binpick.cli"):
+        loaded = run_python(f"import sys, {module}; print({_SCIPY_MODULES})")
+        assert loaded.strip() == "[]", module
+
+
+_FIRST_CALL_SCENE = {"rgb_resolution": [448, 344], "noise_sigma_m": 0.002, "seed": 5,
+                     "boxes": [{"dimensions_mm": [120, 100, 60], "position_mm": [10, -5, 30],
+                                "face_intensity": 210}]}
+
+
+def test_first_call_loads_scipy_with_same_poses():
+    """A fresh interpreter loads the kd-tree and the graph labelling on the
+    first pipeline run, and that run gives this process's poses."""
+    code = textwrap.dedent(f"""\
+        import json, sys
+        from binpick import PipelineConfig, add_depth_noise, render_depth, render_image
+        from binpick import run_pipeline, scene_homography
+        from binpick.synth import scene_from_dict
+        at_import = {_SCIPY_MODULES}
+        scene = scene_from_dict(json.loads(sys.argv[1]))
+        cloud = add_depth_noise(render_depth(scene), scene.noise_sigma_m, scene.seed)
+        config = PipelineConfig(homography=scene_homography(scene))
+        report = run_pipeline(config, render_image(scene), cloud, "parent")
+        print(json.dumps({{"at_import": at_import, "poses": report.to_dict()["poses"],
+                          "loaded": {_SCIPY_MODULES}}}))
+    """)
+    child = json.loads(run_python(code, json.dumps(_FIRST_CALL_SCENE)))
+    img, cloud, config = synth_inputs(scene_from_dict(_FIRST_CALL_SCENE))
+    poses = run_pipeline(config, img, cloud, "parent").to_dict()["poses"]
+    assert child["at_import"] == []
+    assert {"scipy.spatial", "scipy.sparse.csgraph"} <= set(child["loaded"])
+    assert len(child["poses"]) == 1
+    assert child["poses"] == json.loads(json.dumps(poses))
 
 
 @pytest.fixture(scope="module")
@@ -699,6 +739,14 @@ class TestCli:
         out = run_cli("verify", str(tmp_path / "report.json"), str(tmp_path / "truth.json"))
         assert out.returncode == 2, out.stderr
         assert "input error" in out.stderr
+
+    @pytest.mark.parametrize("radius", ["-1", "0", "nan", "inf"])
+    def test_bad_match_radius_is_config_error(self, workdir, radius):
+        write_json(workdir / "no_poses.json", {"poses": []})
+        out = run_cli("verify", str(workdir / "no_poses.json"),
+                      str(workdir / "data" / "truth.json"), "--match-radius", radius)
+        assert out.returncode == 3, out.stderr
+        assert "match radius" in out.stderr
 
     def test_missing_calibration_is_config_error(self, workdir):
         write_json(workdir / "empty_config.json", {})
