@@ -197,7 +197,8 @@ def auto_canny(img: GrayImage, sigma: float = DEFAULT_CANNY_SIGMA) -> np.ndarray
     Only pixels above the lower threshold can become edges. The magnitude
     never exceeds |gx| + |gy|, so that integer sum picks the candidates, and
     the float64 magnitude is computed only at them and at their neighbors.
-    Hysteresis labels the 8-connected components of the surviving pixels.
+    Hysteresis labels the 8-connected components of the surviving pixels'
+    horizontal runs, as ``find_contours`` labels the free space's.
     """
     # Hysteresis loads the graph labelling. Load it before the frame-sized
     # gradients exist: an import among live frame-sized buffers keeps the heap
@@ -235,57 +236,39 @@ def auto_canny(img: GrayImage, sigma: float = DEFAULT_CANNY_SIGMA) -> np.ndarray
     strong = m[keep] > upper
     edges = np.zeros(h * w, dtype=bool)
     if strong.any():
-        labels = _eight_connected_components(weak, w)
+        # Split the weak pixels into horizontal runs and label those.
+        start = np.flatnonzero(np.r_[True, (np.diff(weak) != 1) | (weak[1:] % w == 0)])
+        length = np.diff(np.r_[start, len(weak)])
+        y, x0 = np.divmod(weak[start], w)
+        labels = np.repeat(_label_spans(y, x0, x0 + length, 1, w), length)
         hit = np.zeros(labels.max() + 1, dtype=bool)
         hit[labels[strong]] = True
         edges[weak[hit[labels]]] = True
     return edges.reshape(h, w)
 
 
-def _eight_connected_components(pixels: np.ndarray, w: int) -> np.ndarray:
-    """Component label of each pixel of a set given as ascending flat indices
-    into rows of width ``w``, under 8-connectivity.
-
-    Each pixel links to its right, lower-left, lower and lower-right
-    neighbors when they are in the set; the column tests keep a link from
-    wrapping past either end of a row.
-    """
-    x = pixels % w
-    src, dst = [], []
-    for step, inside in ((1, x < w - 1), (w - 1, x > 0), (w, True), (w + 1, x < w - 1)):
-        target = pixels + step
-        j = np.searchsorted(pixels, target)
-        found = inside & (pixels[np.minimum(j, len(pixels) - 1)] == target)
-        src.append(np.flatnonzero(found))
-        dst.append(j[found])
-    return _components(len(pixels), np.concatenate(src), np.concatenate(dst))
-
-
-def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Connected-component label of each of ``n`` nodes under the undirected
-    links ``src[i]``-``dst[i]``."""
-    from scipy.sparse import csgraph, csr_matrix
-
-    graph = csr_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n))
-    return csgraph.connected_components(graph, directed=False)[1]
-
-
-def _span_links(line: np.ndarray, x0: np.ndarray, x1: np.ndarray, reach: int,
-                w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Links (i, j) between column spans [x0, x1) within 0..w, sorted by
-    (line, x0) and disjoint on each line, where span j lies on line
-    ``line[i] + 1`` and overlaps span i widened by ``reach`` columns on each
-    side: reach 0 links 4-connected pixel runs, reach 1 8-connected ones.
+def _label_spans(line: np.ndarray, x0: np.ndarray, x1: np.ndarray, reach: int,
+                 w: int) -> np.ndarray:
+    """Connected-component label of each column span [x0, x1) within 0..w,
+    for spans sorted by (line, x0) and disjoint on each line. Span j links to
+    span i when it lies on line ``line[i] + 1`` and overlaps span i widened by
+    ``reach`` columns on each side: reach 0 labels 4-connected pixel runs,
+    reach 1 8-connected ones.
 
     The spans of the next line that qualify are one contiguous stretch, found
     by two binary searches over the keys line * (w + 1) + column.
     """
+    from scipy.sparse import csgraph, csr_matrix
+
+    n = len(line)
     below = (line + 1) * (w + 1)
     lo = np.searchsorted(line * (w + 1) + x1, below + x0 - reach, side="right")
     hi = np.searchsorted(line * (w + 1) + x0, below + x1 + reach, side="left")
     count = np.maximum(hi - lo, 0)
-    src = np.repeat(np.arange(len(line)), count)
-    return src, np.arange(len(src)) + np.repeat(lo - np.cumsum(count) + count, count)
+    src = np.repeat(np.arange(n), count)
+    dst = np.arange(len(src)) + np.repeat(lo - np.cumsum(count) + count, count)
+    graph = csr_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n))
+    return csgraph.connected_components(graph, directed=False)[1]
 
 
 def find_contours(edges: np.ndarray) -> list[Contour]:
@@ -331,7 +314,7 @@ def find_contours(edges: np.ndarray) -> list[Contour]:
     y, x0 = np.divmod(change[0::2], w + 1)
     x1 = change[1::2] - y * (w + 1)
 
-    region = _components(len(y), *_span_links(y, x0, x1, 0, w))
+    region = _label_spans(y, x0, x1, 0, w)
     is_open = np.zeros(len(y), dtype=bool)
     is_open[region[(y == 0) | (y == h - 1) | (x0 == 0) | (x1 == w)]] = True
     keep = ~is_open[region]
@@ -364,7 +347,7 @@ def find_contours(edges: np.ndarray) -> list[Contour]:
     outside |= np.repeat((y == top[cid]) | (y == bottom[cid]), 2)
     real = np.flatnonzero(hi > lo)
     line = np.repeat(cid * (h + 1) + y, 2)[real]  # one box's rows are consecutive lines
-    piece = _components(len(real), *_span_links(line, lo[real], hi[real], 1, w))
+    piece = _label_spans(line, lo[real], hi[real], 1, w)
     reaches = np.zeros(len(real), dtype=bool)
     reaches[piece[outside[real]]] = True
     hole = np.zeros(2 * m, dtype=bool)
