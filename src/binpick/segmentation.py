@@ -177,8 +177,11 @@ def sobel_gradients(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Neighbor offsets (dx, dy) per quantized signed gradient direction, 45-degree
-# sectors counterclockwise from +x.
-_NMS_OFFSETS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+# sectors counterclockwise from +x; dx counts columns right. The diagonal
+# sectors count dy up, as KGY does, so they step across the edge. Sectors 2
+# and 6 count it in rows, down, which only swaps the two neighbors and so
+# sets the tie side of a y gradient.
+_NMS_OFFSETS = ((1, 0), (1, -1), (0, 1), (-1, -1), (-1, 0), (-1, 1), (0, -1), (1, 1))
 _NMS_DX, _NMS_DY = np.array(_NMS_OFFSETS).T
 
 
@@ -187,12 +190,13 @@ def auto_canny(img: GrayImage, sigma: float = DEFAULT_CANNY_SIGMA) -> np.ndarray
 
     lower = max(0, (1 - sigma) * median), upper = min(255, (1 + sigma) * median).
     Non-maximum suppression compares each pixel's L2 gradient magnitude against
-    its two neighbors along the quantized signed gradient direction. On an
-    ideal two-pixel step the tie keeps the darker pixel of an x gradient and
-    the brighter pixel of a y gradient (``KGY`` counts y up, ``_NMS_OFFSETS``
-    counts rows down), so step edges stay one pixel wide and opposite edges of
-    a bright region erode it symmetrically. Neighbors beyond the border
-    replicate the edge pixel.
+    its two neighbors along the quantized signed gradient direction, that is,
+    across the edge at any orientation: a diagonal sector steps one row up for
+    a positive gy, as ``KGY`` counts y up. On an ideal two-pixel step the tie
+    keeps the darker pixel of an x gradient and the brighter pixel of a y
+    gradient (sectors 2 and 6 step rows down, swapping the two neighbors), so
+    step edges stay one pixel wide and opposite edges of a bright region erode
+    it symmetrically. Neighbors beyond the border replicate the edge pixel.
 
     Only pixels above the lower threshold can become edges. The magnitude
     never exceeds |gx| + |gy|, so that integer sum picks the candidates, and

@@ -175,7 +175,7 @@ def canny(pixels: np.ndarray, sigma: float) -> np.ndarray:
     gx, gy, mag = sobel(pixels)
     deg = (np.degrees(np.arctan2(gy, gx)) + 360.0) % 360.0
     sector = (np.floor((deg + 22.5) / 45.0).astype(np.int64)) % 8
-    offsets = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+    offsets = ((1, 0), (1, -1), (0, 1), (-1, -1), (-1, 0), (-1, 1), (0, -1), (1, 1))
     padded = np.pad(mag, 1, mode="edge")
     h, w = mag.shape
     keep = np.zeros((h, w), dtype=bool)

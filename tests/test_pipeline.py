@@ -173,6 +173,18 @@ class TestRunPipeline:
         assert max(table["matches"][0]["trans_err_mm"]) < 5.0
         assert max(table["matches"][0]["rot_err_deg"]) < 1.0
 
+    @pytest.mark.parametrize("yaw", range(0, 91, 5))
+    def test_lone_box_found_at_every_yaw(self, yaw):
+        # Orientation independence: edges at every angle to the image axes
+        # survive suppression, so each yaw gives one mask and one pose.
+        scene = SceneSpec(boxes=(make_box((100, 90, 45), (0, 0, 22.5), (yaw, 0, 0)),),
+                          rgb_resolution=(640, 480), noise_sigma_m=0.002, seed=3)
+        img, cloud, config = synth_inputs(scene)
+        report = run_pipeline(config, img, cloud, "parent")
+        assert report.counts["masks"] == 1 and len(report.poses) == 1
+        table = verify_against_ground_truth(report, ground_truth(scene))
+        assert len(table["matches"]) == 1 and table["misses"] == 0
+
     def test_leaves_no_cyclic_garbage(self):
         scene = SceneSpec(boxes=(make_box((120, 100, 60), (10, -20, 30)),),
                           rgb_resolution=(640, 480))
