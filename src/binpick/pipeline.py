@@ -232,6 +232,13 @@ def _detect(config: PipelineConfig, cloud: OrganizedCloud, segment) -> Detection
     config.validate()
     if config.homography is None:
         raise ConfigError("calibration missing: config has no rgb_to_depth_homography")
+    # Load the graph labelling and the kd-tree here, so the first detection's
+    # clock times the stages and not the imports. This also comes before
+    # segmentation's frame-sized buffers: an import among live ones keeps the
+    # heap from shrinking once they are freed (8 MB more peak RSS at 2048x1536).
+    import scipy.sparse.csgraph  # noqa: F401
+    import scipy.spatial  # noqa: F401
+
     seconds = dict.fromkeys(TIMING_KEYS, 0.0)
     t_total = time.perf_counter()
     contours, masks = segment()

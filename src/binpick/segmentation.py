@@ -204,11 +204,6 @@ def auto_canny(img: GrayImage, sigma: float = DEFAULT_CANNY_SIGMA) -> np.ndarray
     Hysteresis labels the 8-connected components of the surviving pixels'
     horizontal runs, as ``find_contours`` labels the free space's.
     """
-    # Hysteresis loads the graph labelling. Load it before the frame-sized
-    # gradients exist: an import among live frame-sized buffers keeps the heap
-    # from shrinking once they are freed (8 MB more peak RSS at 2048x1536).
-    import scipy.sparse.csgraph  # noqa: F401
-
     gx, gy = sobel_gradients(img)
     h, w = gx.shape
     med = float(np.median(img.pixels))

@@ -357,7 +357,8 @@ def render_depth(scene: SceneSpec) -> OrganizedCloud:
     t, kind, _ = _cast(scene, cam)
     valid = kind != _KIND_MISS
     dirs_s = _ray_directions(cam, slice(None), slice(None))
-    pts = np.where(valid[..., None], dirs_s * t[..., None], 0.0)
+    pts = np.zeros(dirs_s.shape)
+    pts[valid] = dirs_s[valid] * t[valid, None]
     return OrganizedCloud(points=pts, valid=valid)
 
 

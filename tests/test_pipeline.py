@@ -519,6 +519,25 @@ def test_first_call_loads_scipy_with_same_poses():
     assert child["poses"] == json.loads(json.dumps(poses))
 
 
+def test_detection_loads_scipy_before_its_clock():
+    """A detection loads the kd-tree and the graph labelling before its clock
+    starts, so it loads them even with no masks to localize."""
+    code = textwrap.dedent(f"""\
+        import json, sys
+        from binpick import PipelineConfig, render_depth, scene_homography
+        from binpick.pipeline import localize_masks
+        from binpick.synth import SceneSpec
+        scene = SceneSpec(rgb_resolution=(64, 48))
+        cloud = render_depth(scene)
+        before = {_SCIPY_MODULES}
+        localize_masks(PipelineConfig(homography=scene_homography(scene)), [], cloud)
+        print(json.dumps({{"before": before, "after": {_SCIPY_MODULES}}}))
+    """)
+    child = json.loads(run_python(code))
+    assert child["before"] == []
+    assert {"scipy.spatial", "scipy.sparse.csgraph"} <= set(child["after"])
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
