@@ -228,9 +228,11 @@ def _canny_matches_reference(px):
 
 
 class TestCannyHysteresisAgainstReference:
-    """Hysteresis links weak pixels by their flat indices, so these scenes put
-    chains next to each other in raster order but not in the image. On a
-    median-100 frame a step of 40 is strong and a step of 20 is only weak."""
+    """Hysteresis cuts the weak pixels into horizontal runs by their flat
+    indices, so the row-wrap scenes put chains next to each other in raster
+    order but not in the image: they pin that a run breaks at a row's end
+    and that runs link only across the rows they span. On a median-100
+    frame a step of 40 is strong and a step of 20 is only weak."""
 
     # (upper block, lower block, its chain's pixel, the other chain's pixel):
     # the two pixels are 1, w - 1 and w + 1 apart in raster order.
