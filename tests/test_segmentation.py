@@ -197,6 +197,22 @@ class TestAutoCanny:
         ys, _ = np.nonzero(auto_canny(GrayImage(step)))  # y gradient
         assert set(ys.tolist()) == {bright}
 
+    @pytest.mark.parametrize("anti", [False, True])
+    @pytest.mark.parametrize("bright_first", [False, True])
+    def test_45_degree_step_is_one_chain_over_every_row(self, anti, bright_first):
+        # Suppression compares neighbors across a diagonal edge, not along
+        # it. The step runs from column 4 in row 0 to column 27 in row 23, or
+        # mirrored; ``offset`` is constant along it.
+        y, x = np.mgrid[0:24, 0:32]
+        offset = x + y if anti else x - y
+        step = 27 if anti else 4
+        px = np.where((offset >= step) == bright_first, 200, 50).astype(np.uint8)
+        edges = _canny_matches_reference(px)
+        _, n = ndimage.label(edges, structure=np.ones((3, 3), dtype=bool))
+        assert n == 1
+        assert edges.any(axis=1).all()
+        assert set(offset[edges].tolist()) <= {step - 1, step}
+
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         px = rng.integers(0, 256, size=(30, 30), dtype=np.uint8)
@@ -278,25 +294,6 @@ class TestCannyHysteresisAgainstReference:
         # The bump's diagonal flanks: 128 against 100 and 80 across the gradient.
         expected[5, 10] = expected[7, 10] = True
         assert np.array_equal(edges, expected)
-
-
-class TestDiagonalSuppression:
-    """Suppression compares neighbors across a diagonal edge, not along it."""
-
-    @pytest.mark.parametrize("anti", [False, True])
-    @pytest.mark.parametrize("bright_first", [False, True])
-    def test_45_degree_step_is_one_chain_over_every_row(self, anti, bright_first):
-        y, x = np.mgrid[0:24, 0:32]
-        # The step runs from column 4 in row 0 to column 27 in row 23, or its
-        # mirror image; ``offset`` is constant along it.
-        offset = x + y if anti else x - y
-        step = 27 if anti else 4
-        px = np.where((offset >= step) == bright_first, 200, 50).astype(np.uint8)
-        edges = _canny_matches_reference(px)
-        _, n = ndimage.label(edges, structure=np.ones((3, 3), dtype=bool))
-        assert n == 1
-        assert edges.any(axis=1).all()
-        assert set(offset[edges].tolist()) <= {step - 1, step}
 
 
 class TestFindContours:

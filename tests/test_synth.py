@@ -1,5 +1,4 @@
 import itertools
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -56,12 +55,11 @@ class TestRenderDepth:
         assert not cloud.valid.all()
         assert not cloud.valid[0, 0]  # corner ray passes the 10% margin
 
+    @pytest.mark.filterwarnings("error")
     def test_missed_rays_raise_no_warning(self):
         # At 41x31 some ray directions have a zero component; a missed ray's
         # infinite distance never multiplies them.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cloud = render_depth(simple_scene(depth_resolution=(41, 31)))
+        cloud = render_depth(simple_scene(depth_resolution=(41, 31)))
         assert 0 < cloud.valid.sum() < cloud.valid.size
         assert np.all(cloud.points[~cloud.valid] == 0.0)
         assert np.isfinite(cloud.points).all()
