@@ -7,7 +7,9 @@ maximally stable clusters are selected bottom-up. Two parallel faces at
 different heights land in different clusters, so a single plane is never fit
 across separated surfaces.
 
-Everything is deterministic: MST ties break toward the lowest point index.
+Everything is deterministic for a given point order: MST ties break toward
+the lowest point index, and equal-weight merges follow the MST's discovery
+order. The partition can depend on that order where weights tie.
 """
 
 from __future__ import annotations
@@ -122,94 +124,83 @@ def mutual_reachability_mst(points: np.ndarray, min_samples: int
     return edges, weights
 
 
-def _single_linkage(edges: np.ndarray, weights: np.ndarray, n: int
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dendrogram from MST edges: (children (n-1, 2), distances, sizes).
+def _condense(edges: np.ndarray, weights: np.ndarray, n: int,
+              min_cluster_size: int) -> CondensedTree:
+    """Condensed tree of clusters of at least min_cluster_size points, from
+    one union-find pass over the MST edges.
 
-    Internal node ids run n..2n-2; merge order follows ascending edge weight
-    with the Prim discovery order as a stable tie-break.
+    Edges merge in ascending weight, ties in Prim's discovery order. A small
+    component keeps its members; when it joins a large one, its points fall
+    out of that one's cluster at the merge density. A component that reaches
+    the size opens a cluster, as does the last merge, so the root exists at
+    any size. When two large components merge, their clusters end and become
+    the children of the cluster the merge opens.
     """
     order = np.argsort(weights, kind="stable")
+    distances = weights[order]
+    lam = np.where(distances > _MIN_DISTANCE, 1.0 / np.maximum(distances, _MIN_DISTANCE),
+                   1.0 / _MIN_DISTANCE).tolist()
     uf_parent = list(range(n))
-    current_node = list(range(n))
-    sizes = [1] * (2 * n - 1)
-    children = []
-    for step, (a, b) in enumerate(edges[order].tolist()):
+    comp_size = [1] * n
+    members = [[p] for p in range(n)]  # read only while the component is small
+    comp_cluster = [-1] * n  # the open cluster of a large component
+    point_cluster = [0] * n
+    point_lambda = [0.0] * n
+    # [children, density and size at the merge that ends it] per cluster, in
+    # opening order; the root never ends and keeps 0.0 and n
+    clusters = []
+
+    # the last merge reaches n points, so it opens the root at any size
+    opening_size = min(min_cluster_size, n)
+    for (a, b), lv in zip(edges[order].tolist(), lam):
         while uf_parent[a] != a:
             uf_parent[a] = uf_parent[uf_parent[a]]
             a = uf_parent[a]
         while uf_parent[b] != b:
             uf_parent[b] = uf_parent[uf_parent[b]]
             b = uf_parent[b]
-        na, nb = current_node[a], current_node[b]
-        children.append((na, nb))
-        sizes[n + step] = sizes[na] + sizes[nb]
+        sa, sb = comp_size[a], comp_size[b]
+        large_a, large_b = sa >= min_cluster_size, sb >= min_cluster_size
         uf_parent[b] = a
-        current_node[a] = n + step
-    return (np.array(children, dtype=np.int64).reshape(n - 1, 2), weights[order],
-            np.array(sizes, dtype=np.int64))
-
-
-def _condense(children: np.ndarray, distances: np.ndarray, sizes: np.ndarray,
-              n: int, min_cluster_size: int) -> CondensedTree:
-    """Collapse the dendrogram into clusters of at least min_cluster_size points.
-
-    Walking down from the root, a split where both sides are large enough
-    creates two child clusters; otherwise the small side's points fall out of
-    the current cluster at that split's density.
-    """
-    root_dendro = 2 * n - 2
-    lam = np.where(distances > _MIN_DISTANCE, 1.0 / np.maximum(distances, _MIN_DISTANCE),
-                   1.0 / _MIN_DISTANCE).tolist()
-    # Python lists: the walk below reads one element at a time
-    merged = children.tolist()
-    sizes = sizes.tolist()
-
-    parent, lambda_birth, size = [-1], [0.0], [n]
-    point_cluster = [0] * n
-    point_lambda = [0.0] * n
-
-    def leaves_of(node: int) -> list[int]:
-        out, stack = [], [node]
-        while stack:
-            v = stack.pop()
-            if v < n:
-                out.append(v)
-            else:
-                stack.extend(merged[v - n])
-        return out
-
-    # (dendrogram node, condensed cluster it belongs to)
-    stack = [(root_dendro, 0)]
-    while stack:
-        node, cluster = stack.pop()
-        if node < n:
-            # A cluster reduced to a single point: it departs at its merge density,
-            # already recorded by the parent split below.
-            continue
-        left, right = merged[node - n]
-        lv = lam[node - n]
-        ls, rs = sizes[left], sizes[right]
-
-        if ls >= min_cluster_size and rs >= min_cluster_size:
-            for child, child_size in ((left, ls), (right, rs)):
-                stack.append((child, len(parent)))
-                parent.append(cluster)
-                lambda_birth.append(lv)
-                size.append(child_size)
-        else:
-            for child, child_size in ((left, ls), (right, rs)):
-                if child_size >= min_cluster_size:
-                    stack.append((child, cluster))
-                else:
-                    for p in leaves_of(child):
-                        point_cluster[p] = cluster
+        comp_size[a] = sa + sb
+        if large_a and large_b:
+            for child, child_size in ((comp_cluster[a], sa), (comp_cluster[b], sb)):
+                clusters[child][1:] = lv, child_size
+            clusters.append([(comp_cluster[a], comp_cluster[b]), 0.0, n])
+            comp_cluster[a] = len(clusters) - 1
+        elif sa + sb >= opening_size:
+            if large_b:
+                comp_cluster[a] = comp_cluster[b]
+            elif not large_a:
+                clusters.append([(), 0.0, n])
+                comp_cluster[a] = len(clusters) - 1
+            for side, large in ((a, large_a), (b, large_b)):
+                if not large:
+                    for p in members[side]:
+                        point_cluster[p] = comp_cluster[a]
                         point_lambda[p] = lv
+        else:
+            members[a] += members[b]
+
+    # Number the clusters as a walk down from the root, the last one opened,
+    # does: a split's two children one after the other, then the second
+    # child's subtree first.
+    ids = [0] * len(clusters)
+    parent, lambda_birth, size = [-1], [0.0], [n]
+    stack = [len(clusters) - 1]
+    while stack:
+        c = stack.pop()
+        for child in clusters[c][0]:
+            ids[child] = len(parent)
+            parent.append(ids[c])
+            lambda_birth.append(clusters[child][1])
+            size.append(clusters[child][2])
+            stack.append(child)
 
     # Stability: each point contributes the density span it stayed a member
     # (summed in point order), then each child the span its points stayed in
     # the parent (in ascending child id).
-    point_cluster = np.array(point_cluster, dtype=np.int64)
+    point_cluster = np.array(ids, dtype=np.int64)[point_cluster]
     births = np.array(lambda_birth)
     stability = np.bincount(point_cluster, np.array(point_lambda) - births[point_cluster],
                             minlength=len(parent)).tolist()
@@ -270,8 +261,7 @@ def condensed_tree(points: np.ndarray, min_cluster_size: int = DEFAULT_MIN_CLUST
     min_samples = min(min_samples, n - 1)
 
     edges, weights = mutual_reachability_mst(pts, min_samples)
-    children, distances, sizes = _single_linkage(edges, weights, n)
-    return _condense(children, distances, sizes, n, min_cluster_size)
+    return _condense(edges, weights, n, min_cluster_size)
 
 
 def hdbscan(points: np.ndarray, min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE,

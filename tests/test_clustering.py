@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binpick import clustering
 from binpick.clustering import (
     ClusterLabels,
     condensed_tree,
@@ -193,18 +192,40 @@ def tie_heavy_points(draw):
     return pts.astype(float)
 
 
+def reference_hierarchy(pts, min_cluster_size, min_samples=None):
+    """The oracle chain: step-by-step Prim, list union-find dendrogram,
+    node-record condensation and stack-walk selection. Returns (nodes,
+    point_cluster, selected, labels)."""
+    n = len(pts)
+    k = min(min_samples or min_cluster_size, n - 1)
+    dendrogram = oracles.single_linkage(*oracles.prim_mst(pts, core_distances(pts, k)), n)
+    nodes, point_cluster = oracles.condense_nodes(*dendrogram, n, min_cluster_size)
+    return (nodes, point_cluster, *oracles.select_nodes(nodes, point_cluster))
+
+
 def reference_labels(pts, min_cluster_size):
-    """hdbscan labels with the step-by-step Prim and union-find in place."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(clustering, "mutual_reachability_mst",
-                   lambda p, k: oracles.prim_mst(p, core_distances(p, k)))
-        mp.setattr(clustering, "_single_linkage", oracles.single_linkage)
-        return hdbscan(pts, min_cluster_size).labels
+    """hdbscan labels from the oracle chain; fewer than min_cluster_size
+    points are all noise."""
+    if len(pts) < min_cluster_size:
+        return np.full(len(pts), -1, dtype=np.int64)
+    return reference_hierarchy(pts, min_cluster_size)[3]
+
+
+def assert_tree_matches(tree, nodes, point_cluster, selected):
+    ids = sorted(nodes)
+    assert ids == list(range(len(tree.parent)))
+    assert np.array_equal(tree.parent, [-1 if nodes[i].parent_id is None
+                                        else nodes[i].parent_id for i in ids])
+    assert np.array_equal(tree.size, [nodes[i].size for i in ids])
+    assert np.array_equal(tree.lambda_birth, [nodes[i].lambda_birth for i in ids])
+    assert np.array_equal(tree.stability, [nodes[i].stability for i in ids])
+    assert np.array_equal(tree.point_cluster, point_cluster)
+    assert tree.selected.tolist() == selected
 
 
 class TestAgainstStepReference:
-    """Prim over retired core distances and list union-find give exactly the
-    per-step reference's edges, weights, dendrogram and labels."""
+    """Prim over retired core distances and the one union-find pass give
+    exactly the per-step reference's edges, weights and labels."""
 
     @settings(max_examples=150, deadline=None)
     @given(pts=tie_heavy_points(), data=st.data())
@@ -214,10 +235,6 @@ class TestAgainstStepReference:
         ref_edges, ref_weights = oracles.prim_mst(pts, core_distances(pts, k))
         assert np.array_equal(edges, ref_edges)
         assert np.array_equal(weights, ref_weights)
-        for got, ref in zip(clustering._single_linkage(edges, weights, len(pts)),
-                            oracles.single_linkage(ref_edges, ref_weights, len(pts))):
-            assert got.dtype == ref.dtype
-            assert np.array_equal(got, ref)
 
     @settings(max_examples=60, deadline=None)
     @given(pts=tie_heavy_points(), data=st.data())
@@ -241,8 +258,9 @@ class TestAgainstStepReference:
 
 
 class TestAgainstNodeReference:
-    """The parent-ordered arrays and two linear passes give exactly the
-    node-dict condensation and stack-walk selection of the reference."""
+    """The one union-find pass, its numbering walk and two linear passes give
+    exactly the node-dict condensation of the reference's dendrogram and its
+    stack-walk selection."""
 
     @settings(max_examples=150, deadline=None)
     @given(pts=tie_heavy_points(), data=st.data())
@@ -250,19 +268,36 @@ class TestAgainstNodeReference:
         min_cluster_size = data.draw(st.integers(2, 15))
         min_samples = data.draw(st.one_of(st.none(), st.integers(1, 15)))
         k = min(min_samples or min_cluster_size, len(pts) - 1)
-        dendrogram = clustering._single_linkage(*mutual_reachability_mst(pts, k), len(pts))
+        dendrogram = oracles.single_linkage(*mutual_reachability_mst(pts, k), len(pts))
         nodes, point_cluster = oracles.condense_nodes(*dendrogram, len(pts), min_cluster_size)
         selected, labels = oracles.select_nodes(nodes, point_cluster)
 
-        tree = condensed_tree(pts, min_cluster_size, min_samples)
-        ids = sorted(nodes)
-        assert ids == list(range(len(tree.parent)))
-        assert np.array_equal(tree.parent, [-1 if nodes[i].parent_id is None
-                                            else nodes[i].parent_id for i in ids])
-        assert np.array_equal(tree.size, [nodes[i].size for i in ids])
-        assert np.array_equal(tree.lambda_birth, [nodes[i].lambda_birth for i in ids])
-        assert np.array_equal(tree.stability, [nodes[i].stability for i in ids])
-        assert np.array_equal(tree.point_cluster, point_cluster)
-        assert tree.selected.tolist() == selected
+        assert_tree_matches(condensed_tree(pts, min_cluster_size, min_samples),
+                            nodes, point_cluster, selected)
         if len(pts) >= min_cluster_size:
             assert np.array_equal(hdbscan(pts, min_cluster_size, min_samples).labels, labels)
+
+
+def three_faces(rng, per_face):
+    """Three 0.1 m square faces 15 cm apart in x, at z = 0.80, 0.85 and
+    0.90 m, with 2 mm z noise."""
+    faces = []
+    for i, z in enumerate((0.80, 0.85, 0.90)):
+        xy = rng.uniform(0, 0.1, size=(per_face, 2)) + [0.15 * i, 0.0]
+        faces.append(np.column_stack([xy, z + rng.normal(0, 0.002, per_face)]))
+    return np.vstack(faces)
+
+
+class TestAtBenchmarkSize:
+    """The Hypothesis inputs stop at 90 points; a benchmark cluster holds
+    one to two thousand. The tree and labels still equal the oracle chain's."""
+
+    @pytest.mark.parametrize("per_face", [400, 700])
+    @pytest.mark.parametrize("min_cluster_size", [30, 5])
+    def test_tree_and_labels(self, per_face, min_cluster_size):
+        pts = three_faces(np.random.default_rng(per_face), per_face)
+        nodes, point_cluster, selected, labels = reference_hierarchy(pts, min_cluster_size)
+        assert_tree_matches(condensed_tree(pts, min_cluster_size), nodes, point_cluster, selected)
+        assert np.array_equal(hdbscan(pts, min_cluster_size).labels, labels)
+        faces = labels.reshape(3, per_face)
+        assert (faces == faces[:, :1]).all() and sorted(faces[:, 0]) == [0, 1, 2]
