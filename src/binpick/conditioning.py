@@ -56,7 +56,8 @@ def voxel_grid_downsample(points: np.ndarray, leaf: float) -> np.ndarray:
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:
         return pts.copy()
-    keys = np.floor(pts / leaf).astype(np.int64)
+    # float keys: an int64 cast would wrap once pts / leaf passes 2**63
+    keys = np.floor(pts / leaf)
     order = np.lexsort(keys.T)  # last key (z) is the primary one
     ordered = keys[order]
     starts = np.ones(len(pts), dtype=bool)

@@ -493,6 +493,11 @@ class TestVoxelGridAgainstReference:
         assert np.array_equal(got, oracles.voxel_centroids(pts, 1e-9))
         assert np.array_equal(got, pts[[0, 1]])
 
+    def test_keys_past_int64(self):
+        # pts / leaf reaches about 1e299: each point stays its own voxel
+        pts = np.array([[0.1, 0.2, 0.3], [-0.1, 0.2, 0.3], [0.1, 0.2, 0.3]])
+        assert np.array_equal(voxel_grid_downsample(pts, 1e-300), pts[[1, 0]])
+
     def test_single_point(self):
         pts = np.array([[-0.123, 4.5, 1e-7]])
         assert np.array_equal(voxel_grid_downsample(pts, 0.01), pts)

@@ -32,6 +32,7 @@ from binpick.pipeline import (
     config_to_dict,
     localize_masks,
     run_pipeline,
+    segment_image,
     verify_against_ground_truth,
 )
 from binpick.segmentation import BinaryMask, GrayImage
@@ -152,6 +153,17 @@ class TestConfigFuzz:
         assert config_to_dict(config_from_dict(as_dict)) == as_dict
 
 
+def four_box_scene(**kwargs):
+    """The four-box scene of acceptance criterion 6, at 640x480."""
+    boxes = (
+        make_box((140, 120, 60), (-180, -100, 30), intensity=200),
+        make_box((130, 110, 50), (150, 100, 25), intensity=195),
+        make_box((100, 90, 45), (120, -120, 22.5), rot_zyx_deg=(30, 0, 0), intensity=170),
+        make_box((110, 80, 55), (-120, 130, 27.5), rot_zyx_deg=(-20, 0, 0), intensity=215),
+    )
+    return SceneSpec(boxes=boxes, rgb_resolution=(640, 480), **kwargs)
+
+
 class TestRunPipeline:
     def test_empty_bin(self):
         scene = SceneSpec(rgb_resolution=(448, 344))
@@ -184,6 +196,29 @@ class TestRunPipeline:
         assert report.counts["masks"] == 1 and len(report.poses) == 1
         table = verify_against_ground_truth(report, ground_truth(scene))
         assert len(table["matches"]) == 1 and table["misses"] == 0
+
+    def test_tiny_voxel_leaf_keeps_the_pose(self):
+        # pts / leaf reaches about 1e299, far past where an int64 voxel key wraps
+        scene = SceneSpec(boxes=(make_box((120, 100, 60), (10, -20, 30)),),
+                          rgb_resolution=(320, 240))
+        img, cloud, _ = synth_inputs(scene)
+        config = PipelineConfig(homography=scene_homography(scene), voxel_leaf_m=1e-300)
+        assert len(run_pipeline(config, img, cloud, "parent").poses) == 1
+
+    @pytest.mark.parametrize("noise_sigma_m", [0.0, 0.002])
+    def test_mask_order_leaves_the_poses(self, noise_sigma_m):
+        # Metamorphic: one frame's masks in reverse order give the same poses.
+        img, cloud, config = synth_inputs(four_box_scene(noise_sigma_m=noise_sigma_m, seed=0))
+        _, masks = segment_image(config, img, "parent")
+        assert len(masks) == 4
+
+        def poses_by_centroid(ordered):
+            poses = localize_masks(config, ordered, cloud).to_dict()["poses"]
+            return np.array(sorted(p["centroid_mm"] + p["euler_zyx_deg"] for p in poses))
+
+        forward = poses_by_centroid(masks)
+        assert forward.shape == (4, 6)
+        np.testing.assert_allclose(poses_by_centroid(masks[::-1]), forward, rtol=0, atol=1e-6)
 
     def test_leaves_no_cyclic_garbage(self):
         scene = SceneSpec(boxes=(make_box((120, 100, 60), (10, -20, 30)),),
@@ -372,14 +407,7 @@ class TestVerify:
         assert table["misses"] == 1 and table["unmatched_poses"] == 1
 
     def test_report_json_round_trip(self):
-        # the four-box scene of acceptance criterion 6, at 640x480
-        boxes = (
-            make_box((140, 120, 60), (-180, -100, 30), intensity=200),
-            make_box((130, 110, 50), (150, 100, 25), intensity=195),
-            make_box((100, 90, 45), (120, -120, 22.5), rot_zyx_deg=(30, 0, 0), intensity=170),
-            make_box((110, 80, 55), (-120, 130, 27.5), rot_zyx_deg=(-20, 0, 0), intensity=215),
-        )
-        scene = SceneSpec(boxes=boxes, rgb_resolution=(640, 480))
+        scene = four_box_scene()
         img, cloud, config = synth_inputs(scene)
         report = run_pipeline(config, img, cloud, "parent")
         truth = ground_truth(scene)
