@@ -76,7 +76,7 @@ def write_mask_pgm(path, mask: BinaryMask) -> None:
 
 def read_mask_pgm(path, role: str, source_index: int = 0) -> BinaryMask:
     img = read_image(path)
-    return BinaryMask(bits=img.pixels > 127, role=role, source_index=source_index)
+    return BinaryMask.from_bits(img.pixels > 127, role, source_index)
 
 
 def write_ply_organized(path, cloud: OrganizedCloud) -> None:

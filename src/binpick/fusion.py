@@ -18,6 +18,9 @@ from .segmentation import BinaryMask
 
 HOMOGRAPHY_JSON_KEY = "rgb_to_depth_homography"
 
+# Mask pixels mapped per step, so fusion's temporaries stay a few MB at any mask size.
+MAP_CHUNK_PX = 65536
+
 
 @dataclass(frozen=True)
 class Homography:
@@ -134,21 +137,22 @@ def map_mask_to_cloud(mask: BinaryMask, homography: Homography,
                       cloud: OrganizedCloud) -> MaskedCluster:
     """Collect the valid cloud points under a mask.
 
-    Every set mask bit maps through the homography and rounds to the nearest
+    Every mask pixel maps through the homography and rounds to the nearest
     depth-grid cell; out-of-range cells and invalid points are skipped and
-    duplicate cells collapse to one point. Raises EmptyClusterError when
-    nothing valid remains.
+    duplicate cells collapse to one point. Pixels go MAP_CHUNK_PX at a time
+    into a grid-sized bitmap, whose set cells come out sorted and unique.
+    Raises EmptyClusterError when nothing valid remains.
     """
-    ys, xs = np.divmod(np.flatnonzero(mask.bits), mask.width)
-    mapped = homography._map_homogeneous(_homogeneous(xs, ys))
-    u = np.rint(mapped[:, 0]).astype(np.int64)
-    v = np.rint(mapped[:, 1]).astype(np.int64)
-    inside = (u >= 0) & (u < cloud.width) & (v >= 0) & (v < cloud.height)
-    u, v = u[inside], v[inside]
-    ok = cloud.valid[v, u]
-    # Scatter into a grid-sized bitmap: its set cells come out sorted and unique.
     hit = np.zeros(cloud.height * cloud.width, dtype=bool)
-    hit[v[ok] * cloud.width + u[ok]] = True
+    for start in range(0, len(mask.indices), MAP_CHUNK_PX):
+        ys, xs = np.divmod(mask.indices[start:start + MAP_CHUNK_PX], mask.width)
+        mapped = homography._map_homogeneous(_homogeneous(xs, ys))
+        u = np.rint(mapped[:, 0]).astype(np.int64)
+        v = np.rint(mapped[:, 1]).astype(np.int64)
+        inside = (u >= 0) & (u < cloud.width) & (v >= 0) & (v < cloud.height)
+        u, v = u[inside], v[inside]
+        ok = cloud.valid[v, u]
+        hit[v[ok] * cloud.width + u[ok]] = True
     cells = np.flatnonzero(hit)
     if len(cells) == 0:
         raise EmptyClusterError("mask covers no valid depth points")

@@ -44,6 +44,10 @@ DEFAULT_CANNY_SIGMA = 0.33
 # Picking phases, which are also the roles of the masks they emit.
 PHASES = ("child", "parent")
 
+# Smoothing, Canny and the contour runs work through the frame this many rows
+# at a time, so their temporaries scale with the frame width, not its area.
+BAND_ROWS = 128
+
 @dataclass(frozen=True)
 class GrayImage:
     """8-bit grayscale image, row-major."""
@@ -72,7 +76,8 @@ class Contour:
     """One enclosed region of the edge map with its holes, and its nesting.
 
     ``area`` counts the pixels of the filled polygon (interior holes included).
-    ``filled_indices``/``shape`` cache the rasterization for mask generation.
+    ``filled_indices`` lists the filled polygon's flat pixel indices in
+    ascending order over a frame of ``shape``; its masks share that array.
     """
 
     area: float
@@ -84,24 +89,52 @@ class Contour:
 
 @dataclass(frozen=True)
 class BinaryMask:
-    """Per-box bitmap over the image plane; set bits cover one box surface."""
+    """One box surface over an image plane of ``shape`` (height, width), as
+    the flat row-major indices of its pixels; masks from ``generate_masks``
+    and ``from_bits`` list them in ascending order."""
 
-    bits: np.ndarray
+    indices: np.ndarray
+    shape: tuple[int, int]
     role: str
     source_index: int = 0
 
     def __post_init__(self):
         if self.role not in PHASES:
             raise ValueError(f"role must be one of {PHASES}")
-        object.__setattr__(self, "bits", np.asarray(self.bits, dtype=bool))
+        h, w = (int(n) for n in self.shape)
+        if h < 0 or w < 0:
+            raise ValueError(f"mask shape {self.shape} has a negative side")
+        idx = np.asarray(self.indices)
+        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+            raise ValueError("mask indices must be a 1-D integer array")
+        idx = idx.astype(np.intp, copy=False)
+        if idx.size and (idx.min() < 0 or idx.max() >= h * w):
+            raise ValueError(f"mask indices must lie inside the {w}x{h} frame")
+        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "shape", (h, w))
+
+    @classmethod
+    def from_bits(cls, bits, role: str, source_index: int = 0) -> "BinaryMask":
+        """The mask whose pixels are the set entries of a 2-D bitmap."""
+        bits = np.asarray(bits, dtype=bool)
+        if bits.ndim != 2:
+            raise ValueError("mask bits must be a 2D array")
+        return cls(np.flatnonzero(bits), bits.shape, role, source_index)
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The mask as a frame-sized bitmap, built on each access."""
+        bits = np.zeros(self.shape[0] * self.shape[1], dtype=bool)
+        bits[self.indices] = True
+        return bits.reshape(self.shape)
 
     @property
     def width(self) -> int:
-        return self.bits.shape[1]
+        return self.shape[1]
 
     @property
     def height(self) -> int:
-        return self.bits.shape[0]
+        return self.shape[0]
 
 
 def extract_roi(img: GrayImage, rect: tuple[int, int, int, int]) -> GrayImage:
@@ -134,11 +167,28 @@ def _binomial(a: np.ndarray, axis: int) -> np.ndarray:
     return a
 
 
-def _padded(img: GrayImage, dtype) -> np.ndarray:
-    """The pixels with one replicated border pixel on each side, as ``dtype``."""
+def _bands(h: int, halo: int):
+    """(r0, r1, lo, hi) for each band [r0, r1) of BAND_ROWS rows of an
+    h-row frame, with [lo, hi) the band widened by ``halo`` rows on each
+    side and clipped at the frame."""
+    for r0 in range(0, h, BAND_ROWS):
+        r1 = min(r0 + BAND_ROWS, h)
+        yield r0, r1, max(r0 - halo, 0), min(r1 + halo, h)
+
+
+def _require_3x3(img: GrayImage) -> None:
     if img.width < 3 or img.height < 3:
         raise ValueError("image must be at least 3x3")
-    return np.pad(img.pixels, 1, mode="edge").astype(dtype)
+
+
+def _padded(px: np.ndarray, start: int, stop: int, dtype) -> np.ndarray:
+    """Rows start..stop of the pixels as ``dtype``, rows beyond the frame
+    replicating its edge row, with one replicated column on each side."""
+    h, w = px.shape
+    out = np.empty((stop - start, w + 2), dtype=dtype)
+    out[:, 1:-1] = px[np.clip(np.arange(start, stop), 0, h - 1)]
+    out[:, 0], out[:, -1] = out[:, 1], out[:, -2]
+    return out
 
 
 def _rint_sixteenths(sums: np.ndarray) -> np.ndarray:
@@ -157,10 +207,16 @@ def gaussian_smooth_3x3(img: GrayImage) -> GrayImage:
     """Smooth with the 3x3 binomial kernel; borders replicate edge pixels.
 
     The kernel is outer(BINOMIAL_TAPS, BINOMIAL_TAPS) / 16, applied as two
-    integer passes and one exact integer rounding.
+    integer passes and one exact integer rounding, BAND_ROWS output rows at
+    a time from those rows and one row above and below.
     """
-    sums = _binomial(_binomial(_padded(img, np.uint16), 1), 0)
-    return GrayImage(_rint_sixteenths(sums).astype(np.uint8))
+    _require_3x3(img)
+    px = img.pixels
+    out = np.empty_like(px)
+    for r0, r1, _, _ in _bands(len(px), 1):
+        sums = _binomial(_binomial(_padded(px, r0 - 1, r1 + 1, np.uint16), 1), 0)
+        out[r0:r1] = _rint_sixteenths(sums)
+    return GrayImage(out)
 
 
 def sobel_gradients(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +225,8 @@ def sobel_gradients(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     Both kernels run as separable integer passes, DIFFERENCE_TAPS as one
     subtraction; |g| <= 1020, so |gx| + |gy| <= 2040 fits int16 too.
     """
-    padded = _padded(img, np.int16)
+    _require_3x3(img)
+    padded = _padded(img.pixels, -1, img.height + 1, np.int16)
     left, right = _pairs(padded, 1, 2)
     gx = _binomial(right - left, 0)
     above, below = _pairs(_binomial(padded, 1), 0, 2)
@@ -183,6 +240,11 @@ def sobel_gradients(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
 # sets the tie side of a y gradient.
 _NMS_OFFSETS = ((1, 0), (1, -1), (0, 1), (-1, -1), (-1, 0), (-1, 1), (0, -1), (1, 1))
 _NMS_DX, _NMS_DY = np.array(_NMS_OFFSETS).T
+
+
+def _hypot_at(fx: np.ndarray, fy: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """float64 L2 gradient magnitude at flat indices ``idx``."""
+    return np.hypot(fx[idx].astype(np.float64), fy[idx].astype(np.float64))
 
 
 def auto_canny(img: GrayImage, sigma: float = DEFAULT_CANNY_SIGMA) -> np.ndarray:
@@ -201,38 +263,48 @@ def auto_canny(img: GrayImage, sigma: float = DEFAULT_CANNY_SIGMA) -> np.ndarray
     Only pixels above the lower threshold can become edges. The magnitude
     never exceeds |gx| + |gy|, so that integer sum picks the candidates, and
     the float64 magnitude is computed only at them and at their neighbors.
+    Gradients and suppression run BAND_ROWS rows at a time: a band's
+    gradients come from ``sobel_gradients`` on the band and two rows on each
+    side, clipped at the frame. Only the outer of those two rows sees the
+    sub-image's replicated border, and no band pixel's neighbor lies on it
+    unless it is the frame's own edge row.
     Hysteresis labels the 8-connected components of the surviving pixels'
     horizontal runs, as ``find_contours`` labels the free space's.
     """
-    gx, gy = sobel_gradients(img)
-    h, w = gx.shape
-    med = float(np.median(img.pixels))
+    _require_3x3(img)
+    px = img.pixels
+    h, w = px.shape
+    med = float(np.median(px))
     lower = max(0.0, (1.0 - sigma) * med)
     upper = min(255.0, (1.0 + sigma) * med)
 
-    fx, fy = gx.ravel(), gy.ravel()
+    weak, strong = [], []
+    for r0, r1, lo, hi in _bands(h, 2):
+        gx, gy = sobel_gradients(GrayImage(px[lo:hi]))
+        fx, fy = gx.ravel(), gy.ravel()
+        l1 = np.abs(gx[r0 - lo:r1 - lo])
+        l1 += np.abs(gy[r0 - lo:r1 - lo])
+        # l1 is integral and lower >= 0, so l1 > lower exactly when l1 > floor(lower);
+        # candidates are flat indices into the band's sub-image.
+        cand = np.flatnonzero(l1 > int(lower)) + (r0 - lo) * w
+        m = _hypot_at(fx, fy, cand)
+        above = m > lower
+        cand, m = cand[above], m[above]
+        deg = (np.degrees(np.arctan2(fy[cand].astype(np.float64),
+                                     fx[cand].astype(np.float64))) + 360.0) % 360.0
+        sector = (np.floor((deg + 22.5) / 45.0).astype(np.int64)) % 8
+        dx, dy = _NMS_DX[sector], _NMS_DY[sector]
+        y, x = np.divmod(cand, w)
+        y += lo  # frame rows, so the clip replicates the frame's edge rows only
+        nxt = _hypot_at(fx, fy, (np.clip(y + dy, 0, h - 1) - lo) * w
+                        + np.clip(x + dx, 0, w - 1))
+        prv = _hypot_at(fx, fy, (np.clip(y - dy, 0, h - 1) - lo) * w
+                        + np.clip(x - dx, 0, w - 1))
+        keep = (m > prv) & (m >= nxt)
+        weak.append(cand[keep] + lo * w)
+        strong.append(m[keep] > upper)
 
-    def magnitude(idx):
-        return np.hypot(fx[idx].astype(np.float64), fy[idx].astype(np.float64))
-
-    l1 = np.abs(gx)
-    l1 += np.abs(gy)
-    # l1 is integral and lower >= 0, so l1 > lower exactly when l1 > floor(lower)
-    cand = np.flatnonzero(l1 > int(lower))
-    m = magnitude(cand)
-    above = m > lower
-    cand, m = cand[above], m[above]
-    deg = (np.degrees(np.arctan2(fy[cand].astype(np.float64),
-                                 fx[cand].astype(np.float64))) + 360.0) % 360.0
-    sector = (np.floor((deg + 22.5) / 45.0).astype(np.int64)) % 8
-    dx, dy = _NMS_DX[sector], _NMS_DY[sector]
-    y, x = np.divmod(cand, w)
-    nxt = magnitude(np.clip(y + dy, 0, h - 1) * w + np.clip(x + dx, 0, w - 1))
-    prv = magnitude(np.clip(y - dy, 0, h - 1) * w + np.clip(x - dx, 0, w - 1))
-    keep = (m > prv) & (m >= nxt)
-
-    weak = cand[keep]
-    strong = m[keep] > upper
+    weak, strong = np.concatenate(weak), np.concatenate(strong)
     edges = np.zeros(h * w, dtype=bool)
     if strong.any():
         # Split the weak pixels into horizontal runs and label those.
@@ -295,21 +367,26 @@ def find_contours(edges: np.ndarray) -> list[Contour]:
     if e.size == 0 or not e.any():
         return []
     h, w = e.shape
-    # 3x3 dilation as two separable passes of shifted ORs; nothing lies
-    # beyond the border. The free space goes between two columns that are
-    # never free, so every run starts and ends at a change along its row.
-    rows = e.copy()
-    rows[:, 1:] |= e[:, :-1]
-    rows[:, :-1] |= e[:, 1:]
-    free = np.zeros((h, w + 2), dtype=bool)
-    inner = free[:, 1:-1]
-    inner[...] = rows
-    inner[1:] |= rows[:-1]
-    inner[:-1] |= rows[1:]
-    del rows
-    np.logical_not(inner, out=inner)
-    change = np.flatnonzero(free[:, 1:] != free[:, :-1])
-    del free, inner
+    # 3x3 dilation as two separable passes of shifted ORs, BAND_ROWS rows at
+    # a time with one halo row on each side (only the halo rows' own dilation
+    # misses a row); nothing lies beyond the border. The free space goes
+    # between two columns that are never free, so every run starts and ends
+    # at a change along its row.
+    change = []
+    for r0, r1, lo, hi in _bands(h, 1):
+        band = e[lo:hi]
+        rows = band.copy()
+        rows[:, 1:] |= band[:, :-1]
+        rows[:, :-1] |= band[:, 1:]
+        free = np.zeros((hi - lo, w + 2), dtype=bool)
+        inner = free[:, 1:-1]
+        inner[...] = rows
+        inner[1:] |= rows[:-1]
+        inner[:-1] |= rows[1:]
+        np.logical_not(inner, out=inner)
+        own = free[r0 - lo:r1 - lo]
+        change.append(np.flatnonzero(own[:, 1:] != own[:, :-1]) + r0 * (w + 1))
+    change = np.concatenate(change)
     y, x0 = np.divmod(change[0::2], w + 1)
     x1 = change[1::2] - y * (w + 1)
 
@@ -419,14 +496,6 @@ def refine_contours(contours: list[Contour], min_area: float = DEFAULT_MIN_CONTO
     return out
 
 
-def _rasterize(contour: Contour) -> np.ndarray:
-    if contour.filled_indices is None or contour.shape is None:
-        raise ValueError("contour lacks rasterization data")
-    bits = np.zeros(contour.shape[0] * contour.shape[1], dtype=bool)
-    bits[contour.filled_indices] = True
-    return bits.reshape(contour.shape)
-
-
 def generate_masks(contours: list[Contour], phase: str) -> list[BinaryMask]:
     """Emit filled masks for one picking phase; the phase is their role.
 
@@ -440,5 +509,5 @@ def generate_masks(contours: list[Contour], phase: str) -> list[BinaryMask]:
         raise ValueError(f"phase must be one of {PHASES}")
     chosen = [i for i, c in enumerate(contours) if (c.depth >= 1) == (phase == "child")]
     chosen.sort(key=lambda i: (-contours[i].depth, -contours[i].area, i))
-    return [BinaryMask(bits=_rasterize(contours[i]), role=phase, source_index=i)
+    return [BinaryMask(contours[i].filled_indices, contours[i].shape, phase, i)
             for i in chosen]

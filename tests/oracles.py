@@ -15,6 +15,9 @@ of every ray in one ``(n, 3)`` array, and one point and one edge at a time.
 ``cast_all_rays`` is its earlier frame cast, which tests every box against
 every ray of the frame rather than against its pixel window; it shares the
 per-box slab test with the library, which ``slab_intersect_box`` checks.
+``map_mask_to_cloud`` is fusion's earlier whole-mask projection: every set
+bit of a frame-sized bitmap through the homography in one product, and the
+distinct cells from ``np.unique``.
 """
 
 from __future__ import annotations
@@ -242,6 +245,23 @@ def contours(edges: np.ndarray) -> list[tuple]:
                     enclosed.index(parent[lab]) if parent[lab] is not None else None,
                     depth))
     return out
+
+
+def map_mask_to_cloud(bits: np.ndarray, homography, cloud) -> np.ndarray:
+    """Valid cloud points under a mask bitmap, one per distinct depth cell in
+    ascending cell order: all set bits mapped at once, rounded to the nearest
+    cell, out-of-grid and invalid cells dropped."""
+    ys, xs = np.divmod(np.flatnonzero(bits), bits.shape[1])
+    homog = np.column_stack([xs, ys, np.ones(len(xs))]).astype(np.float64)
+    mapped = homog @ homography.h.T
+    mapped = mapped[:, :2] / mapped[:, 2:3]
+    u = np.rint(mapped[:, 0]).astype(np.int64)
+    v = np.rint(mapped[:, 1]).astype(np.int64)
+    inside = (u >= 0) & (u < cloud.width) & (v >= 0) & (v < cloud.height)
+    u, v = u[inside], v[inside]
+    ok = cloud.valid[v, u]
+    cells = np.unique(v[ok] * cloud.width + u[ok])
+    return cloud.points.reshape(-1, 3)[cells]
 
 
 def prim_mst(points: np.ndarray, core: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

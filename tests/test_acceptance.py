@@ -196,14 +196,16 @@ def test_criterion_5_cluttered_bin():
     print(f"\nACCEPTANCE 5 (cluttered bin): PASS ({detected}/6 detected)")
 
 
+CRITERION_6_BOXES = (
+    make_box((140, 120, 60), (-180, -100, 30), intensity=200),
+    make_box((130, 110, 50), (150, 100, 25), intensity=195),
+    make_box((100, 90, 45), (120, -120, 22.5), rot_zyx_deg=(30, 0, 0), intensity=170),
+    make_box((110, 80, 55), (-120, 130, 27.5), rot_zyx_deg=(-20, 0, 0), intensity=215),
+)
+
+
 def test_criterion_6_timing():
-    boxes = (
-        make_box((140, 120, 60), (-180, -100, 30), intensity=200),
-        make_box((130, 110, 50), (150, 100, 25), intensity=195),
-        make_box((100, 90, 45), (120, -120, 22.5), rot_zyx_deg=(30, 0, 0), intensity=170),
-        make_box((110, 80, 55), (-120, 130, 27.5), rot_zyx_deg=(-20, 0, 0), intensity=215),
-    )
-    scene = SceneSpec(boxes=boxes, rgb_resolution=(1024, 768))
+    scene = SceneSpec(boxes=CRITERION_6_BOXES, rgb_resolution=(1024, 768))
     img = render_image(scene)
     cloud = render_depth(scene)
     assert cloud.width == 224 and cloud.height == 172

@@ -76,11 +76,11 @@ def test_fusion_probe_reads_points_and_empty_cluster_error(tracing):
     cloud = OrganizedCloud(np.ones((4, 5, 3)), np.ones((4, 5), dtype=bool))
     bits = np.zeros((4, 5), dtype=bool)
     bits[1:3, 1:4] = True
-    mapped = tracing.pipeline.map_mask_to_cloud(BinaryMask(bits=bits, role="parent"),
+    mapped = tracing.pipeline.map_mask_to_cloud(BinaryMask.from_bits(bits, role="parent"),
                                                 Homography(np.eye(3)), cloud)
     assert mapped.points.shape == (6, 3)
     with pytest.raises(EmptyClusterError):
-        tracing.pipeline.map_mask_to_cloud(BinaryMask(bits=~np.ones_like(bits), role="child"),
+        tracing.pipeline.map_mask_to_cloud(BinaryMask.from_bits(~np.ones_like(bits), role="child"),
                                            Homography(np.eye(3)), cloud)
 
 

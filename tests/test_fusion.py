@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from binpick.core import OrganizedCloud
 from binpick.errors import EmptyClusterError
-from binpick.fusion import Homography, estimate_homography, map_mask_to_cloud
+from binpick.fusion import MAP_CHUNK_PX, Homography, estimate_homography, map_mask_to_cloud
 from binpick.segmentation import BinaryMask
+
+from . import oracles
 
 
 def full_valid_cloud(w=8, h=6):
@@ -72,13 +75,13 @@ class TestEstimateHomography:
 class TestMapMaskToCloud:
     def test_full_frame_identity_collects_everything(self):
         cloud = full_valid_cloud()
-        mask = BinaryMask(bits=np.ones((6, 8), dtype=bool), role="parent")
+        mask = BinaryMask.from_bits(np.ones((6, 8), dtype=bool), role="parent")
         out = map_mask_to_cloud(mask, Homography(np.eye(3)), cloud)
         assert len(out.points) == 48
 
     def test_empty_mask_raises(self):
         cloud = full_valid_cloud()
-        mask = BinaryMask(bits=np.zeros((6, 8), dtype=bool), role="child")
+        mask = BinaryMask.from_bits(np.zeros((6, 8), dtype=bool), role="child")
         with pytest.raises(EmptyClusterError):
             map_mask_to_cloud(mask, Homography(np.eye(3)), cloud)
 
@@ -90,14 +93,14 @@ class TestMapMaskToCloud:
         bits = np.zeros((6, 8), dtype=bool)
         bits[:, :4] = True
         with pytest.raises(EmptyClusterError):
-            map_mask_to_cloud(BinaryMask(bits=bits, role="child"),
+            map_mask_to_cloud(BinaryMask.from_bits(bits, role="child"),
                               Homography(np.eye(3)), cloud)
 
     def test_duplicates_collapse(self):
         cloud = full_valid_cloud()
         # scale 2K-ish mask down: many mask pixels land on one cell
         scale = np.array([[0.25, 0, 0], [0, 0.25, 0], [0, 0, 1.0]])
-        mask = BinaryMask(bits=np.ones((24, 32), dtype=bool), role="parent")
+        mask = BinaryMask.from_bits(np.ones((24, 32), dtype=bool), role="parent")
         out = map_mask_to_cloud(mask, Homography(scale), cloud)
         assert len(out.points) == 48  # every cell hit once despite 768 mask bits
 
@@ -105,7 +108,47 @@ class TestMapMaskToCloud:
         cloud = full_valid_cloud()
         bits = np.zeros((6, 8), dtype=bool)
         bits[2:4, 3:6] = True
-        out = map_mask_to_cloud(BinaryMask(bits=bits, role="child"),
+        out = map_mask_to_cloud(BinaryMask.from_bits(bits, role="child"),
                                 Homography(np.eye(3)), cloud)
         assert len(out.points) <= bits.sum()
         assert len(out.points) <= cloud.valid.sum()
+
+
+RGB_SHAPE = (320, 416)  # 133,120 pixels: masks below span two or three chunks
+GRID_SHAPE = (64, 80)
+
+
+def random_homography(rng, projective):
+    """Maps the RGB frame about onto the depth grid: scaled by 0.9-1.1 of the
+    grid's size, turned by up to 20 degrees about the frame centre and shifted
+    by up to 8 cells, so some pixels fall off the grid. Projective terms keep
+    the third coordinate within 1 +- 0.6 over the frame."""
+    h, w = RGB_SHAPE
+    gh, gw = GRID_SHAPE
+    turn = np.radians(rng.uniform(-20, 20))
+    rot = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+    a = rot @ np.diag(rng.uniform(0.9, 1.1, 2) * (gw / w, gh / h))
+    m = np.eye(3)
+    m[:2, :2] = a
+    m[:2, 2] = np.array([gw, gh]) / 2 - a @ (np.array([w, h]) / 2) + rng.uniform(-8, 8, 2)
+    if projective:
+        m[2, :2] = rng.uniform(-0.3, 0.3, 2) / (w, h)
+    return Homography(m)
+
+
+class TestChunkedMapAgainstWholeMask:
+    """Mapping a mask's pixels MAP_CHUNK_PX at a time collects the points of
+    mapping the whole bitmap at once: the same points in the same order."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), projective=st.booleans(),
+           density=st.floats(0.55, 1.0))
+    def test_random_masks_and_homographies(self, seed, projective, density):
+        rng = np.random.default_rng(seed)
+        bits = rng.random(RGB_SHAPE) < density
+        assert np.count_nonzero(bits) > MAP_CHUNK_PX
+        homography = random_homography(rng, projective)
+        cloud = OrganizedCloud(points=rng.normal(size=(*GRID_SHAPE, 3)),
+                               valid=rng.random(GRID_SHAPE) < 0.8)
+        got = map_mask_to_cloud(BinaryMask.from_bits(bits, "parent"), homography, cloud)
+        assert np.array_equal(got.points, oracles.map_mask_to_cloud(bits, homography, cloud))

@@ -299,8 +299,8 @@ class TestRunPipeline:
                           rgb_resolution=(w, h))
         bits = np.zeros((h, w), dtype=bool)
         bits[150:200, 200:260] = True
-        masks = [BinaryMask(bits=bits, role="parent", source_index=0),
-                 BinaryMask(bits=bits, role="child", source_index=1)]
+        masks = [BinaryMask.from_bits(bits, role="parent", source_index=0),
+                 BinaryMask.from_bits(bits, role="child", source_index=1)]
         config = PipelineConfig(homography=scene_homography(scene))
         report = localize_masks(config, masks, cloud)
         priorities = [p.priority for p in report.poses]
@@ -311,7 +311,7 @@ class TestRunPipeline:
         cloud = render_depth(scene)
         bits = np.zeros((344, 448), dtype=bool)
         bits[0:3, 0:3] = True  # maps into the invalid margin ring
-        mask = BinaryMask(bits=bits, role="parent")
+        mask = BinaryMask.from_bits(bits, role="parent")
         config = PipelineConfig(homography=scene_homography(scene))
         report = localize_masks(config, [mask], cloud)
         assert report.poses == []
@@ -332,7 +332,7 @@ class TestDegenerateMasks:
         return config, render_depth(scene), top
 
     def localize(self, config, bits, cloud):
-        return localize_masks(config, [BinaryMask(bits=bits, role="parent")], cloud)
+        return localize_masks(config, [BinaryMask.from_bits(bits, role="parent")], cloud)
 
     def test_all_invalid_cloud_skips_the_mask(self, one_box):
         config, cloud, top = one_box
@@ -454,7 +454,7 @@ class TestFileFormats:
         bits = np.zeros((10, 12), dtype=bool)
         bits[2:5, 3:9] = True
         path = tmp_path / "mask_child.pgm"
-        write_mask_pgm(path, BinaryMask(bits=bits, role="child"))
+        write_mask_pgm(path, BinaryMask.from_bits(bits, role="child"))
         raw = read_image(path)
         assert set(np.unique(raw.pixels)) == {0, 255}
         back = read_mask_pgm(path, "child")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
+from binpick import segmentation
 from binpick.segmentation import (
     BINOMIAL_TAPS,
     DEFAULT_CANNY_SIGMA,
@@ -65,21 +66,29 @@ def gray_images(draw):
     return px.astype(np.uint8)
 
 
+# Band heights for the oracle comparisons: the images there have 3-64 rows,
+# so short bands put interior cuts, 1- and 2-row remainder bands and images
+# shorter than a band in them; the real height keeps the one-band case.
+band_heights = st.one_of(st.integers(1, 6), st.just(segmentation.BAND_ROWS))
+
+
 class TestAgainstFloatReference:
     """Integer kernels and candidate-only suppression give the arrays of the
-    9-tap float64 correlation and full-frame suppression."""
+    9-tap float64 correlation and full-frame suppression, at any band height."""
 
     @settings(max_examples=150, deadline=None)
-    @given(px=gray_images(), sigma=st.floats(0.05, 0.95))
-    def test_smooth_sobel_canny(self, px, sigma):
+    @given(px=gray_images(), sigma=st.floats(0.05, 0.95), band=band_heights)
+    def test_smooth_sobel_canny(self, px, sigma, band):
         img = GrayImage(px)
-        assert np.array_equal(gaussian_smooth_3x3(img).pixels, oracles.smooth_3x3(px))
-        gx, gy = sobel_gradients(img)
-        rgx, rgy, rmag = oracles.sobel(px)
-        assert gx.dtype == gy.dtype == np.int16
-        assert np.array_equal(gx, rgx) and np.array_equal(gy, rgy)
-        assert np.array_equal(np.hypot(gx.astype(np.float64), gy.astype(np.float64)), rmag)
-        assert np.array_equal(auto_canny(img, sigma), oracles.canny(px, sigma))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(segmentation, "BAND_ROWS", band)
+            assert np.array_equal(gaussian_smooth_3x3(img).pixels, oracles.smooth_3x3(px))
+            gx, gy = sobel_gradients(img)
+            rgx, rgy, rmag = oracles.sobel(px)
+            assert gx.dtype == gy.dtype == np.int16
+            assert np.array_equal(gx, rgx) and np.array_equal(gy, rgy)
+            assert np.array_equal(np.hypot(gx.astype(np.float64), gy.astype(np.float64)), rmag)
+            assert np.array_equal(auto_canny(img, sigma), oracles.canny(px, sigma))
 
 
 class TestIntegerArithmetic:
@@ -346,8 +355,10 @@ class TestFindContours:
         assert np.array_equal(got.reshape(28, 28), expected)
 
 
-def _assert_matches_reference(edges):
-    got = find_contours(edges)
+def _assert_matches_reference(edges, band=segmentation.BAND_ROWS):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segmentation, "BAND_ROWS", band)
+        got = find_contours(edges)
     want = oracles.contours(edges)
     assert len(got) == len(want)
     for c, (filled, parent, depth) in zip(got, want):
@@ -476,20 +487,21 @@ class TestFindContoursAgainstFullFrameReference:
 
     @settings(max_examples=300, deadline=None)
     @given(h=st.integers(1, 40), w=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
-           density=st.floats(0.0, 0.4))
-    @example(h=1, w=1, seed=0, density=0.4)
-    @example(h=1, w=25, seed=3, density=0.1)
-    @example(h=25, w=1, seed=3, density=0.1)
-    @example(h=17, w=23, seed=0, density=0.0)
-    @example(h=17, w=23, seed=0, density=1.0)
-    def test_dense_random_maps(self, h, w, seed, density):
+           density=st.floats(0.0, 0.4), band=band_heights)
+    @example(h=1, w=1, seed=0, density=0.4, band=segmentation.BAND_ROWS)
+    @example(h=1, w=25, seed=3, density=0.1, band=segmentation.BAND_ROWS)
+    @example(h=25, w=1, seed=3, density=0.1, band=segmentation.BAND_ROWS)
+    @example(h=17, w=23, seed=0, density=0.0, band=segmentation.BAND_ROWS)
+    @example(h=17, w=23, seed=0, density=1.0, band=segmentation.BAND_ROWS)
+    @example(h=17, w=23, seed=5, density=0.2, band=1)
+    def test_dense_random_maps(self, h, w, seed, density, band):
         e = np.random.default_rng(seed).random((h, w)) < density
-        _assert_matches_reference(e)
+        _assert_matches_reference(e, band)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_rings=st.integers(0, 6),
-           density=st.floats(0.0, 0.03))
-    def test_random_scenes(self, seed, n_rings, density):
+           density=st.floats(0.0, 0.03), band=band_heights)
+    def test_random_scenes(self, seed, n_rings, density, band):
         rng = np.random.default_rng(seed)
         h, w = rng.integers(8, 64, size=2)
         e = rng.random((h, w)) < density
@@ -497,7 +509,7 @@ class TestFindContoursAgainstFullFrameReference:
             y0, y1 = np.sort(rng.integers(0, h, size=2))
             x0, x1 = np.sort(rng.integers(0, w, size=2))
             e |= ring_bitmap(h, w, y0, y1, x0, x1)
-        _assert_matches_reference(e)
+        _assert_matches_reference(e, band)
 
 
 class TestRefineContours:
@@ -577,4 +589,23 @@ class TestGenerateMasks:
 
     def test_mask_role_validation(self):
         with pytest.raises(ValueError):
-            BinaryMask(bits=np.zeros((2, 2), dtype=bool), role="other")
+            BinaryMask.from_bits(np.zeros((2, 2), dtype=bool), role="other")
+
+    def test_masks_share_the_contour_pixels(self):
+        contours = self._scene_contours()
+        for phase in ("child", "parent"):
+            for mask in generate_masks(contours, phase):
+                src = contours[mask.source_index]
+                assert mask.indices is src.filled_indices and mask.shape == src.shape
+
+    def test_from_bits_round_trip(self):
+        bits = np.random.default_rng(4).random((7, 9)) < 0.4
+        mask = BinaryMask.from_bits(bits, "child", source_index=3)
+        assert np.array_equal(mask.indices, np.flatnonzero(bits))
+        assert (mask.height, mask.width, mask.source_index) == (7, 9, 3)
+        assert np.array_equal(mask.bits, bits)
+
+    @pytest.mark.parametrize("indices", [[0, 4], [-1, 2], [1.0, 2.0], [[0], [1]]])
+    def test_mask_refuses_indices_that_are_not_frame_pixels(self, indices):
+        with pytest.raises(ValueError):
+            BinaryMask(np.array(indices), (2, 2), "parent")
