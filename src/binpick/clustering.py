@@ -14,6 +14,7 @@ order. The partition can depend on that order where weights tie.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Optional
 
@@ -85,42 +86,64 @@ def mutual_reachability_mst(points: np.ndarray, min_samples: int
     """Exact MST of the complete mutual-reachability graph.
 
     d_mreach(a, b) = max(core(a), core(b), |a - b|). Prim's algorithm with the
-    row of the newly added vertex computed on the fly; argmin tie-breaks pick
-    the lowest point index. A vertex's core distance is retired to inf when it
-    joins the tree, so its row entries can never undercut a frontier weight.
+    row of the newly added vertex computed on the fly, over only the vertices
+    that can still improve; argmin tie-breaks pick the lowest point index.
     Returns (edges (n-1, 2), weights (n-1,)).
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     n = len(pts)
-    core = core_distances(pts, min_samples).copy()
-    coords = np.ascontiguousarray(pts.T)
-    diff = np.empty((3, n))
-    row = np.empty(n)
-    upd = np.empty(n, dtype=bool)
+    all_core = core_distances(pts, min_samples)
+    all_coords = np.ascontiguousarray(pts.T)
+    # The active vertices, ascending: index, coordinates, core distance, the
+    # lightest edge to the tree and that edge's tree end. A vertex joining
+    # from here has its core distance and edge retired to inf, so it never
+    # wins or updates again, and once a quarter of the arrays are retired
+    # they are compacted.
+    live, coords, core = np.arange(n), all_coords, all_core.copy()
     best = np.full(n, np.inf)
     src = np.zeros(n, dtype=np.int64)
+    diff_buf, row_buf, upd_buf = np.empty(3 * n), np.empty(n), np.empty(n, dtype=bool)
+    diff, row, upd = diff_buf.reshape(3, n), row_buf, upd_buf
+    core[0] = np.inf
+    retired = [0]
+    # No row can weigh less than a vertex's own core distance, so a vertex
+    # whose edge weighs that is settled: compaction moves it to this heap of
+    # (weight, vertex, tree end), which competes with the active argmin.
+    settled = []
 
     edges = np.empty((n - 1, 2), dtype=np.int64)
     weights = np.empty(n - 1)
     j = 0
     for step in range(n - 1):
-        core_j = core[j]
-        core[j] = np.inf
-        np.subtract(coords, coords[:, j:j + 1], out=diff)
+        if retired and 4 * len(retired) >= len(live):
+            keep = np.ones(len(live), dtype=bool)
+            keep[retired] = False
+            done = keep & (best == core)
+            for entry in zip(best[done].tolist(), live[done].tolist(), src[done].tolist()):
+                heapq.heappush(settled, entry)
+            keep &= ~done
+            live, coords, core, best, src = (live[keep], coords[:, keep], core[keep],
+                                             best[keep], src[keep])
+            m = len(live)
+            diff, row, upd = diff_buf[:3 * m].reshape(3, m), row_buf[:m], upd_buf[:m]
+            retired = []
+        np.subtract(coords, all_coords[:, j:j + 1], out=diff)
         np.square(diff, out=diff)
         np.add.reduce(diff, axis=0, out=row)
         np.sqrt(row, out=row)
         np.maximum(row, core, out=row)
-        np.maximum(row, core_j, out=row)
+        np.maximum(row, all_core[j], out=row)
         np.less(row, best, out=upd)
         np.minimum(row, best, out=best)
-        src[upd] = j
-        j = int(best.argmin())
+        np.putmask(src, upd, j)
+        at = int(best.argmin()) if len(best) else -1
+        if settled and (at < 0 or settled[0][:2] < (best[at], live[at])):
+            weights[step], j, edges[step, 0] = heapq.heappop(settled)
+        else:
+            weights[step], j, edges[step, 0] = best[at], live[at], src[at]
+            core[at] = best[at] = np.inf
+            retired.append(at)
         edges[step, 1] = j
-        weights[step] = best[j]
-        best[j] = np.inf
-    # a tree vertex's src never changes again, so it still names its parent
-    edges[:, 0] = src[edges[:, 1]]
     return edges, weights
 
 

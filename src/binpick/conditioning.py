@@ -16,6 +16,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .errors import ConfigError
+
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
 
@@ -49,7 +51,8 @@ def voxel_grid_downsample(points: np.ndarray, leaf: float) -> np.ndarray:
     """Replace the points of each occupied leaf-sized cube by their centroid.
 
     Cubes are anchored at the coordinate origin; output is ordered by voxel key
-    (z-major, then y, then x) so results are deterministic.
+    (z-major, then y, then x) so results are deterministic. A leaf so small
+    that a coordinate over it overflows is a ConfigError.
     """
     if leaf <= 0:
         raise ValueError("leaf size must be positive")
@@ -57,7 +60,11 @@ def voxel_grid_downsample(points: np.ndarray, leaf: float) -> np.ndarray:
     if len(pts) == 0:
         return pts.copy()
     # float keys: an int64 cast would wrap once pts / leaf passes 2**63
-    keys = np.floor(pts / leaf)
+    with np.errstate(over="ignore"):
+        keys = np.floor(pts / leaf)
+    if not np.isfinite(keys).all():
+        raise ConfigError(f"voxel leaf {leaf!r} m overflows coordinates up to "
+                          f"{np.abs(pts).max():g} m")
     order = np.lexsort(keys.T)  # last key (z) is the primary one
     ordered = keys[order]
     starts = np.ones(len(pts), dtype=bool)
@@ -93,6 +100,28 @@ def statistical_outlier_removal(points: np.ndarray, k: int = DEFAULT_SOR_K,
 # polynomial: 1, u, v, then u^2, uv, v^2 for order 2.
 _DESIGN_EXPONENTS = np.array([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
 
+# A symmetric 3x3 matrix is stored component-major as its six distinct
+# entries (6, n), in this (row, column) order; _SYM_INDEX rebuilds the full
+# (3, 3, n) matrices.
+_SYM_ENTRIES = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+_SYM_INDEX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+# The adjugate of such a matrix, each entry a 2x2 minor x[i]x[j] - x[k]x[l]
+# over the six entries: rows (i, j, k, l), columns in _SYM_ENTRIES order.
+_ADJUGATE_TERMS = np.array([[1, 0, 0, 4, 3, 3],
+                            [2, 2, 1, 5, 5, 4],
+                            [5, 4, 3, 3, 4, 0],
+                            [5, 4, 3, 2, 1, 5]])
+# A normal is defined where lambda2 > 0 and lambda1 > _FLAT_RATIO * lambda2.
+_FLAT_RATIO = 1e-9
+# In units of a matrix's largest entry, it goes to LAPACK when lambda2 or
+# lambda1 - _FLAT_RATIO * lambda2 lies within _EIGEN_MARGIN of 0, or when its
+# longest adjugate row has a squared length of at most _SHORT_ROW.
+_EIGEN_MARGIN = 2.0 ** -40
+_SHORT_ROW = 2.0 ** -80
+# A Cholesky pivot at most this fraction of the largest Gram diagonal entry
+# sends the system to the rank-truncating pseudo-inverse.
+_MIN_PIVOT = 2.0 ** -30
+
 
 def _radius_pairs(tree: cKDTree, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Unordered pairs (i < j) of points within radius of each other, and each
@@ -101,29 +130,135 @@ def _radius_pairs(tree: cKDTree, radius: float) -> tuple[np.ndarray, np.ndarray]
     return pairs, np.bincount(pairs.ravel(), minlength=tree.n) + 1
 
 
-def _local_moments(pairs: np.ndarray, offsets: np.ndarray, n: int,
+def _local_moments(first: np.ndarray, second: np.ndarray, offsets: np.ndarray, n: int,
                    weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted mean and covariance of every point's radius neighborhood, as
-    offsets from the point itself.
+    """Weighted mean (3, n) and covariance (6, n) of every point's radius
+    neighborhood, as offsets from the point itself.
 
-    offsets[k] is x_j - x_i for pair k = (i, j): point i sees +offset and
-    point j sees -offset, so first moments change sign at the second endpoint
-    and second moments do not. The point itself has offset 0 and weight 1;
-    weights default to 1 for every pair.
+    offsets[:, k] is x_j - x_i for pair k = (first[k], second[k]) = (i, j):
+    point i sees +offset and point j sees -offset, so first moments change
+    sign at the second endpoint and second moments do not. The point itself
+    has offset 0 and weight 1; weights default to 1 for every pair.
     """
-    first, second = pairs[:, 0], pairs[:, 1]
-
     def scatter(values, sign=1):
         return np.bincount(first, values, n) + sign * np.bincount(second, values, n)
 
     total = 1.0 + scatter(weights)
-    wd = offsets if weights is None else offsets * weights[:, None]
-    mean = np.stack([scatter(wd[:, c], -1) for c in range(3)], axis=1) / total[:, None]
-    cov = np.empty((n, 3, 3))
-    for r, c in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
-        cov[:, r, c] = cov[:, c, r] = (scatter(wd[:, r] * offsets[:, c]) / total
-                                       - mean[:, r] * mean[:, c])
+    wd = offsets if weights is None else offsets * weights
+    mean = np.stack([scatter(wd[c], -1) for c in range(3)]) / total
+    cov = np.stack([scatter(wd[r] * offsets[c]) / total - mean[r] * mean[c]
+                    for r, c in _SYM_ENTRIES])
     return mean, cov
+
+
+def _eigh3(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues (3, n) and unit eigenvectors (3, 3, n), vector
+    first, of the symmetric matrices whose distinct entries sym (6, n) holds.
+
+    Each matrix is scaled by a power of two so its largest entry lies in
+    [0.5, 1). Smith's trigonometric formula (CACM 1961) gives the eigenvalues;
+    the one farther from the middle one is isolated, and its eigenvector (the
+    anchor) is the longest row of the adjugate of the matrix shifted by it, a
+    cross product of two of its rows. One plane rotation diagonalises the
+    matrix on the anchor's orthogonal complement, which gives the other two
+    eigenpairs accurately even where their eigenvalues nearly coincide; the
+    anchor's eigenvalue is its Rayleigh quotient. As in Kopp's hybrid
+    (arXiv:physics/0610206), a row goes to np.linalg.eigh when its adjugate
+    row is too short (nearly a multiple of the identity, or not finite), or
+    when lambda2 > 0 or lambda1 > _FLAT_RATIO * lambda2 is within rounding of
+    deciding, so those tests read as eigh's would.
+    """
+    scale = np.abs(sym).max(axis=0)
+    finite = np.isfinite(scale)
+    _, exponent = np.frexp(np.where(finite, scale, 0.0))
+    b = np.ldexp(np.where(finite, sym, 0.0), -exponent)
+    b00, b11, b22, b01, b02, b12 = b
+
+    mid = (b00 + b11 + b22) / 3.0
+    d0, d1, d2 = b00 - mid, b11 - mid, b22 - mid
+    p2 = (d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (b01 * b01 + b02 * b02 + b12 * b12)) / 6.0
+    p = np.sqrt(p2)
+    half_det = (d0 * (d1 * d2 - b12 * b12) - b01 * (b01 * d2 - b12 * b02)
+                + b02 * (b01 * b12 - d1 * b02)) / 2.0
+    cos3 = np.clip(half_det / np.where(p2 > 0, p2 * p, 1.0), -1.0, 1.0)
+    # cos3 <= 0: the smallest eigenvalue is the isolated one, else the largest
+    low = cos3 <= 0
+    phi = np.arccos(cos3) / 3.0 + np.where(low, 2.0 * np.pi / 3.0, 0.0)
+    shifted = b.copy()
+    shifted[:3] -= mid + 2.0 * p * np.cos(phi)
+
+    minors = shifted[_ADJUGATE_TERMS]
+    adj = (minors[0] * minors[1] - minors[2] * minors[3])[_SYM_INDEX]
+    lengths = (adj * adj).sum(axis=1)
+    pick = lengths.argmax(axis=0)[None]
+    length = np.take_along_axis(lengths, pick, axis=0)[0]
+    short = ~(length > _SHORT_ROW)
+    anchor = np.take_along_axis(adj, pick[None], axis=0)[0] / np.sqrt(
+        np.where(short, 1.0, length))
+
+    # An orthonormal basis (anchor, e1, e2) (Duff et al., JCGT 2017) and the
+    # matrix in it; the 2x2 block on e1, e2 is diagonalised by one rotation.
+    x, y, z = anchor
+    sign = np.where(z < 0, -1.0, 1.0)
+    a = -1.0 / (sign + z)
+    xy = x * y * a
+    basis = np.stack([anchor, [1.0 + sign * x * x * a, sign * xy, -sign * x],
+                      [xy, sign + y * y * a, -y]])
+    full = b[_SYM_INDEX]
+    rotated = (full[None] * basis[:, None]).sum(axis=2)           # A e_k
+    quad = (basis[:, None] * rotated[None]).sum(axis=2)          # e_j . A e_k
+    mean2 = (quad[1, 1] + quad[2, 2]) / 2.0
+    radius2 = np.hypot((quad[1, 1] - quad[2, 2]) / 2.0, quad[1, 2])
+    theta = np.arctan2(quad[1, 2], (quad[1, 1] - quad[2, 2]) / 2.0) / 2.0
+    c, s = np.cos(theta), np.sin(theta)
+    upper = c * basis[1] + s * basis[2]
+    lower = c * basis[2] - s * basis[1]
+    evals = np.where(low, [quad[0, 0], mean2 - radius2, mean2 + radius2],
+                     [mean2 - radius2, mean2 + radius2, quad[0, 0]])
+    evecs = np.where(low, np.stack([anchor, lower, upper]),
+                     np.stack([lower, upper, anchor]))
+
+    near = ((np.abs(evals[2]) <= _EIGEN_MARGIN)
+            | (np.abs(evals[1] - _FLAT_RATIO * evals[2]) <= _EIGEN_MARGIN))
+    evals = np.ldexp(evals, exponent)
+    fallback = np.flatnonzero(short | near | ~finite)
+    if len(fallback):
+        w, v = np.linalg.eigh(sym[:, fallback][_SYM_INDEX].transpose(2, 0, 1))
+        evals[:, fallback] = w.T
+        evecs[..., fallback] = v.transpose(2, 1, 0)
+    return evals, evecs
+
+
+def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve every symmetric positive semi-definite system gram[..., i] x =
+    rhs[:, i] (gram (k, k, n), rhs (k, n)) by one Cholesky factorisation
+    written over the stack.
+
+    A system with a pivot at most _MIN_PIVOT of its largest diagonal entry is
+    collinear, duplicated or otherwise near rank-deficient; it goes to
+    np.linalg.pinv(hermitian=True), which truncates the rank.
+    """
+    k = len(gram)
+    floor = _MIN_PIVOT * gram[np.arange(k), np.arange(k)].max(axis=0)
+    low = np.zeros_like(gram)
+    small = np.zeros(gram.shape[2], dtype=bool)
+    for j in range(k):
+        pivot = gram[j, j] - (low[j, :j] * low[j, :j]).sum(axis=0)
+        small |= ~(pivot > floor)
+        low[j, j] = np.sqrt(np.maximum(pivot, floor))
+        low[j + 1:, j] = (gram[j + 1:, j] - (low[j + 1:, :j] * low[j, :j]).sum(axis=1)) / low[j, j]
+    x = np.empty_like(rhs)
+    for j in range(k):
+        x[j] = (rhs[j] - (low[j, :j] * x[:j]).sum(axis=0)) / low[j, j]
+    for j in range(k - 1, -1, -1):
+        x[j] = (x[j] - (low[j + 1:, j] * x[j + 1:]).sum(axis=0)) / low[j, j]
+    fallback = np.flatnonzero(small)
+    if len(fallback):
+        # row-major (m, k, k) and (m, k) stacks: einsum's sums depend on the layout
+        inverse = np.linalg.pinv(gram[..., fallback].transpose(2, 0, 1), hermitian=True)
+        x[:, fallback] = np.einsum("mst,mt->ms", inverse,
+                                   np.ascontiguousarray(rhs[:, fallback].T)).T
+    return x
 
 
 def mls_resample(points: np.ndarray, radius: float,
@@ -147,49 +282,53 @@ def mls_resample(points: np.ndarray, radius: float,
     from scipy.spatial import cKDTree
 
     pairs, counts = _radius_pairs(cKDTree(pts), radius)
-    act = counts >= len(exps)
-    if not act.any():
+    act = np.flatnonzero(counts >= len(exps))
+    if len(act) == 0:
         return pts.copy()
 
-    offsets = pts[pairs[:, 1]] - pts[pairs[:, 0]]
+    first, second = pairs.T.copy()
+    coords = np.ascontiguousarray(pts.T)
+    offsets = coords.take(second, axis=1) - coords.take(first, axis=1)
     sigma = radius / 2.0
-    w = np.exp(-(offsets ** 2).sum(1) / (2.0 * sigma * sigma))
-    mean, cov = _local_moments(pairs, offsets, n, w)
-    _, evecs = np.linalg.eigh(cov)                       # normal, e_v, e_u
+    w = np.exp(-(offsets ** 2).sum(0) / (2.0 * sigma * sigma))
+    mean, cov = _local_moments(first, second, offsets, n, w)
+    evecs = np.zeros((3, 3, n))                           # normal, e_v, e_u
+    evecs[..., act] = _eigh3(cov[:, act])[1]
 
-    # every directed (owner, member) pair, then each point as its own member
-    owner = np.concatenate([pairs[:, 0], pairs[:, 1], np.arange(n)])
-    rel = np.concatenate([offsets, -offsets, np.zeros((n, 3))]) - mean[owner]
-    hvu = np.einsum("ki,kij->kj", rel, evecs[owner])
-    hgt, v, u = hvu[:, 0], hvu[:, 1] / radius, hvu[:, 2] / radius
+    # every directed (owner, member) pair, then each point as its own member,
+    # in the owner's frame: (h, v, u) rows
+    owner = np.concatenate([first, second, np.arange(n)])
+    rel = np.concatenate([offsets, -offsets, np.zeros((3, n))], axis=1) - mean.take(owner, axis=1)
+    hgt, v, u = ((rel * evecs[k].take(owner, axis=1)).sum(0) for k in range(3))
+    v /= radius
+    u /= radius
 
     # per-point sums of w u^p v^q fill the Gram matrix of the weighted design,
     # and sums of w h u^p v^q its right-hand side
     deg = 2 * order
-    moments = np.zeros((n, deg + 1, deg + 1))
-    rhs_moments = np.zeros((n, order + 1, order + 1))
+    moments = np.zeros((deg + 1, deg + 1, n))
+    rhs_moments = np.zeros((order + 1, order + 1, n))
     w_up = np.concatenate([w, w, np.ones(n)])
     for p in range(deg + 1):
         term = w_up.copy()
         for q in range(deg + 1 - p):
-            moments[:, p, q] = np.bincount(owner, term, n)
+            moments[p, q] = np.bincount(owner, term, n)
             if p + q <= order:
-                rhs_moments[:, p, q] = np.bincount(owner, term * hgt, n)
+                rhs_moments[p, q] = np.bincount(owner, term * hgt, n)
             term *= v
         w_up *= u
-    gram = moments[:, exps[:, 0, None] + exps[:, 0], exps[:, 1, None] + exps[:, 1]]
-    rhs = rhs_moments[:, exps[:, 0], exps[:, 1]]
-    # hermitian pinv keeps the rank truncation that collinear and duplicate
-    # neighborhoods need; a plain solve fails or amplifies noise on them
-    coeff = np.einsum("mst,mt->ms", np.linalg.pinv(gram, hermitian=True), rhs)
+    gram = moments[exps[:, 0, None] + exps[:, 0], exps[:, 1, None] + exps[:, 1]]
+    rhs = rhs_moments[exps[:, 0], exps[:, 1]]
+    coeff = _solve_gram(gram[..., act], rhs[:, act])
 
-    up, vp = u[-n:], v[-n:]                              # the point in its own frame
-    fit_h = (coeff * up[:, None] ** exps[:, 0] * vp[:, None] ** exps[:, 1]).sum(1)
+    up, vp = u[-n:][act], v[-n:][act]                    # the point in its own frame
+    fit_h = (coeff * up ** exps[:, 0, None] * vp ** exps[:, 1, None]).sum(0)
+    e = evecs[..., act]
     out = pts.copy()
-    out[act] = (pts + mean
-                + up[:, None] * radius * evecs[..., 2]
-                + vp[:, None] * radius * evecs[..., 1]
-                + fit_h[:, None] * evecs[..., 0])[act]
+    out[act] = (coords[:, act] + mean[:, act]
+                + up * radius * e[2]
+                + vp * radius * e[1]
+                + fit_h * e[0]).T
     return out
 
 
@@ -197,15 +336,22 @@ def _batched_normals(points: np.ndarray, tree: cKDTree, radius: float,
                      viewpoint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized radius-PCA normals for every point; returns (normals, defined)."""
     pairs, counts = _radius_pairs(tree, radius)
-    _, cov = _local_moments(pairs, points[pairs[:, 1]] - points[pairs[:, 0]], len(points))
-    evals, evecs = np.linalg.eigh(cov)
-    defined = (counts >= 3) & (evals[:, 2] > 0) & (evals[:, 1] > 1e-9 * evals[:, 2])
+    first, second = pairs.T.copy()
+    coords = np.ascontiguousarray(points.T)
+    _, cov = _local_moments(first, second,
+                            coords.take(second, axis=1) - coords.take(first, axis=1), len(points))
+    rows = np.flatnonzero(counts >= 3)
+    evals, evecs = _eigh3(cov[:, rows])
+    ok = (evals[2] > 0) & (evals[1] > _FLAT_RATIO * evals[2])
+    rows = rows[ok]
+    nrm = evecs[0][:, ok]
+    nrm[:, (nrm * (viewpoint[:, None] - coords[:, rows])).sum(0) < 0] *= -1.0
 
-    nrm = evecs[..., 0]
-    flip = np.einsum("mi,mi->m", nrm, viewpoint[None, :] - points) < 0
-    nrm[flip] = -nrm[flip]
-    nrm[~defined] = 0.0
-    return nrm, defined
+    normals = np.zeros((len(points), 3))
+    normals[rows] = nrm.T
+    defined = np.zeros(len(points), dtype=bool)
+    defined[rows] = True
+    return normals, defined
 
 
 def compute_normal_field(points: np.ndarray, r_small: float, r_large: float,

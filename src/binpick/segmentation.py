@@ -48,6 +48,13 @@ PHASES = ("child", "parent")
 # at a time, so their temporaries scale with the frame width, not its area.
 BAND_ROWS = 128
 
+
+def _pixel_index_dtype(height: int, width: int) -> type:
+    """The type of flat pixel indices over a frame: int32 below 2**31 pixels,
+    int64 above."""
+    return np.int32 if height * width < 2**31 else np.int64
+
+
 @dataclass(frozen=True)
 class GrayImage:
     """8-bit grayscale image, row-major."""
@@ -77,7 +84,8 @@ class Contour:
 
     ``area`` counts the pixels of the filled polygon (interior holes included).
     ``filled_indices`` lists the filled polygon's flat pixel indices in
-    ascending order over a frame of ``shape``; its masks share that array.
+    ascending order over a frame of ``shape``, int32 below 2**31 pixels and
+    int64 above; its masks share that array.
     """
 
     area: float
@@ -90,8 +98,9 @@ class Contour:
 @dataclass(frozen=True)
 class BinaryMask:
     """One box surface over an image plane of ``shape`` (height, width), as
-    the flat row-major indices of its pixels; masks from ``generate_masks``
-    and ``from_bits`` list them in ascending order."""
+    the flat row-major indices of its pixels, int32 below 2**31 pixels and
+    int64 above; masks from ``generate_masks`` and ``from_bits`` list them in
+    ascending order."""
 
     indices: np.ndarray
     shape: tuple[int, int]
@@ -107,10 +116,9 @@ class BinaryMask:
         idx = np.asarray(self.indices)
         if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
             raise ValueError("mask indices must be a 1-D integer array")
-        idx = idx.astype(np.intp, copy=False)
         if idx.size and (idx.min() < 0 or idx.max() >= h * w):
             raise ValueError(f"mask indices must lie inside the {w}x{h} frame")
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", idx.astype(_pixel_index_dtype(h, w), copy=False))
         object.__setattr__(self, "shape", (h, w))
 
     @classmethod
@@ -449,13 +457,17 @@ def find_contours(edges: np.ndarray) -> list[Contour]:
     parent[nested] = owner[order[at]]
 
     # Each run, widened left over a hole gap before it, is one filled span.
+    # A contour's spans are shifted by its own first offset, so its indices
+    # are built in the frame's index type.
     fill_x0 = np.where(hole, prev_x1, x0)
     length = x1 - fill_x0
     offset = np.r_[0, np.cumsum(length)]
     base = y * w + fill_x0 - offset[:-1]
+    index = _pixel_index_dtype(h, w)
     contours: list[Contour] = []
     for a, b, p, d in zip(head.tolist(), bounds[1:].tolist(), parent.tolist(), depth.tolist()):
-        filled = np.repeat(base[a:b], length[a:b]) + np.arange(offset[a], offset[b])
+        filled = (np.repeat((base[a:b] + offset[a]).astype(index), length[a:b])
+                  + np.arange(offset[b] - offset[a], dtype=index))
         contours.append(Contour(
             area=float(filled.size),
             parent_index=p if p >= 0 else None,

@@ -243,6 +243,19 @@ class TestAgainstStepReference:
         assert np.array_equal(hdbscan(pts, min_cluster_size).labels,
                               reference_labels(pts, min_cluster_size))
 
+    @pytest.mark.parametrize("k", [1, 4, 12])
+    def test_tie_heavy_grid_across_compactions(self, k):
+        # 343 lattice points, 40 of them doubled: most weights tie, and the
+        # live arrays are compacted a dozen times on the way
+        rng = np.random.default_rng(k)
+        grid = np.indices((7, 7, 7)).reshape(3, -1).T * 0.004
+        pts = np.vstack([grid, grid[rng.choice(len(grid), 40, replace=False)]])
+        pts = pts[rng.permutation(len(pts))]
+        edges, weights = mutual_reachability_mst(pts, k)
+        ref_edges, ref_weights = oracles.prim_mst(pts, core_distances(pts, k))
+        assert np.array_equal(edges, ref_edges)
+        assert np.array_equal(weights, ref_weights)
+
     def test_duplicate_blocks_and_spread_points(self):
         # 40 and 35 coincident points have zero core distance: their merge
         # densities take the _MIN_DISTANCE guard

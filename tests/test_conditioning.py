@@ -1,11 +1,17 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from binpick.conditioning import (
+    _SYM_ENTRIES,
+    _SYM_INDEX,
     _batched_normals,
+    _eigh3,
     _radius_pairs,
+    _solve_gram,
     compute_normal_field,
     don_filter,
     mls_resample,
@@ -13,8 +19,12 @@ from binpick.conditioning import (
     voxel_grid_downsample,
 )
 
+from binpick.fusion import map_mask_to_cloud
+from binpick.pipeline import segment_image
+
 from . import oracles
 from .oracles import brute_radius, lsq_plane, weighted_poly2_height_fit
+from .test_pipeline import four_box_scene, synth_inputs
 
 
 def planar_grid(nx, ny, pitch, z=0.0):
@@ -501,3 +511,209 @@ class TestVoxelGridAgainstReference:
     def test_single_point(self):
         pts = np.array([[-0.123, 4.5, 1e-7]])
         assert np.array_equal(voxel_grid_downsample(pts, 0.01), pts)
+
+
+EPS = np.finfo(float).eps
+
+
+@contextmanager
+def lapack_calls():
+    """Wraps np.linalg.eigh and np.linalg.pinv; yields the stacks each got."""
+    calls = {"eigh": [], "pinv": []}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            def counted(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                calls[_name].append(np.array(a))
+                return _real(a, *args, **kwargs)
+
+            mp.setattr(np.linalg, name, counted)
+        yield calls
+
+
+def rows(stacks):
+    return sum(len(a) for a in stacks)
+
+
+def symmetric_entries(full):
+    """(n, 3, 3) symmetric matrices -> their distinct entries (6, n)."""
+    return np.stack([full[:, r, c] for r, c in _SYM_ENTRIES])
+
+
+@st.composite
+def symmetric_stacks(draw):
+    """Rotated diagonal matrices with repeated, zero and negative eigenvalues,
+    rank-1 and rank-2 stacks, multiples of the identity, a lambda1/lambda2
+    ratio at the normal field's 1e-9, and covariances of exact lattice
+    neighborhoods; each stack is scaled by one of 1e-300 .. 1e300."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["random", "repeated", "rank1", "rank2", "identity",
+                                 "threshold", "lattice"]))
+    if kind == "lattice":
+        pts = np.indices((3, 3, 2)).reshape(3, -1).T * float(rng.choice([1.0, 0.5, 0.003]))
+        full = []
+        for _ in range(n):
+            nb = pts[rng.random(len(pts)) < 0.6]
+            nb = nb[:, rng.permutation(3)] if len(nb) else pts[:1]
+            rel = nb - nb.mean(0)
+            full.append(rel.T @ rel / len(nb))
+        full = np.array(full)
+    else:
+        choices = {"random": lambda: rng.normal(size=3),
+                   "repeated": lambda: rng.choice([-2.0, 0.0, 1.0, 3.0], size=3),
+                   "rank1": lambda: [0.0, 0.0, rng.normal()],
+                   "rank2": lambda: [0.0, rng.normal(), rng.normal()],
+                   "identity": lambda: [1.0, 1.0, 1.0],
+                   "threshold": lambda: [0.0, 1e-9, 1.0]}
+        diag = np.array([choices[kind]() for _ in range(n)], dtype=float)
+        q, r = np.linalg.qr(rng.normal(size=(n, 3, 3)))
+        rot = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+        if draw(st.booleans()):
+            rot = np.broadcast_to(np.eye(3), (n, 3, 3))
+        full = np.einsum("nij,nj,nkj->nik", rot, diag, rot)
+        full = (full + full.transpose(0, 2, 1)) / 2
+    return full * draw(st.sampled_from([1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300]))
+
+
+class TestEigh3:
+    """The closed-form 3x3 solver against np.linalg.eigh."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(full=symmetric_stacks())
+    def test_matches_eigh(self, full):
+        with lapack_calls() as calls:
+            evals, evecs = _eigh3(symmetric_entries(full))
+        ref_vals, _ = np.linalg.eigh(full)
+        w, v = evals.T, evecs.transpose(2, 1, 0)          # as eigh returns them
+        assert (np.diff(w, axis=1) >= 0).all()
+        top = np.abs(ref_vals).max(axis=1)
+        assert (np.abs(w - ref_vals).max(axis=1) <= 16 * EPS * top).all()
+        assert np.abs(np.einsum("nik,nil->nkl", v, v) - np.eye(3)).max() <= 8 * EPS
+        # residual in the power-of-two scaling that keeps every entry finite
+        _, exponent = np.frexp(np.abs(full).max(axis=(1, 2)))
+        a = np.ldexp(full, -exponent[:, None, None])
+        lam = np.ldexp(w, -exponent[:, None])
+        residual = np.linalg.norm(a @ v - v * lam[:, None, :], axis=1).max(axis=1)
+        assert (residual <= 16 * EPS * np.linalg.norm(a, ord=2, axis=(1, 2))).all()
+
+        # a row that went to eigh carries eigh's answer bit for bit
+        for stack in calls["eigh"]:
+            ref_w, ref_v = np.linalg.eigh(stack)
+            for m, matrix in enumerate(stack):
+                rows = np.flatnonzero((full == matrix).all(axis=(1, 2)))
+                assert len(rows)
+                assert np.array_equal(w[rows], np.broadcast_to(ref_w[m], (len(rows), 3)))
+                assert np.array_equal(v[rows], np.broadcast_to(ref_v[m], (len(rows), 3, 3)))
+
+    def test_fallback_rows(self):
+        """Zero matrices, multiples of the identity and a lambda1/lambda2 ratio
+        at 1e-9 go to eigh; a plane-like covariance and a repeated pair do not."""
+        rot = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
+        diags = [[0, 0, 0], [2, 2, 2], [0, 1e-9, 1], [1e-6, 0.3, 1], [1, 1, 2], [1, 2, 2]]
+        full = np.array([rot @ np.diag(d) @ rot.T for d in diags])
+        full = (full + full.transpose(0, 2, 1)) / 2
+        full[:2] = [np.zeros((3, 3)), 2 * np.eye(3)]
+        with lapack_calls() as calls:
+            _eigh3(symmetric_entries(full))
+        assert rows(calls["eigh"]) == 3
+        assert np.array_equal(np.concatenate(calls["eigh"]), full[:3])
+
+    def test_plane_normal_within_rounding(self):
+        rng = np.random.default_rng(8)
+        pts = planar_grid(9, 9, 0.004) + rng.normal(0, 2e-4, (81, 3)) + [0.1, -0.2, 0.9]
+        rel = pts - pts.mean(0)
+        full = np.array([rel.T @ rel / len(pts)])
+        evals, evecs = _eigh3(symmetric_entries(full))
+        ref_vals, ref_vecs = np.linalg.eigh(full)
+        assert np.linalg.norm(np.cross(evecs[0, :, 0], ref_vecs[0, :, 0])) < 1e-12
+        assert np.abs(evals[:, 0] - ref_vals[0]).max() <= 8 * EPS * ref_vals[0, 2]
+
+
+def weighted_gram(u, v, w, h, order):
+    """Gram matrix (k, k) and right-hand side (k,) of the weighted height design."""
+    design = oracles.polynomial_design(u, v, order)
+    return design.T @ (design * w[:, None]), design.T @ (w * h)
+
+
+def gram_stack(systems):
+    gram = np.stack([g for g, _ in systems], axis=-1)
+    rhs = np.stack([r for _, r in systems], axis=-1)
+    return gram, rhs
+
+
+def pinv_solution(gram, rhs):
+    """pinv(hermitian=True) applied over row-major (m, k, k) and (m, k) stacks."""
+    inverse = np.linalg.pinv(gram.transpose(2, 0, 1), hermitian=True)
+    return np.einsum("mst,mt->ms", inverse, np.ascontiguousarray(rhs.T)).T
+
+
+class TestSolveGram:
+    """The stacked Cholesky solve against pinv(hermitian=True)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.sampled_from([1, 2]),
+           n=st.integers(1, 30))
+    def test_well_conditioned_agrees(self, seed, order, n):
+        rng = np.random.default_rng(seed)
+        systems = []
+        for _ in range(n):
+            k = int(rng.integers(12, 60))
+            u, v = rng.uniform(-1, 1, (2, k))
+            w = np.exp(-rng.uniform(0, 2, k))
+            systems.append(weighted_gram(u, v, w, rng.normal(0, 0.01, k), order))
+        gram, rhs = gram_stack(systems)
+        assume_cond = np.linalg.cond(gram.transpose(2, 0, 1)) < 1e4
+        with lapack_calls() as calls:
+            got = _solve_gram(gram, rhs)
+        ref = pinv_solution(gram, rhs)
+        ok = np.flatnonzero(assume_cond)
+        assert rows(calls["pinv"]) <= n - len(ok)
+        err = np.linalg.norm(got - ref, axis=0)[ok]
+        assert (err <= 1e-12 * np.linalg.norm(ref, axis=0)[ok]).all()
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_singular_systems_take_pinv(self, order):
+        rng = np.random.default_rng(order)
+        t = rng.uniform(-1, 1, 20)
+        # a lattice two columns wide has u^2 = u / 4 on it, one row wide u = 0
+        lattice = np.indices((2, 5) if order == 2 else (1, 5)).reshape(2, -1) / 4
+        systems = [
+            weighted_gram(t, np.zeros(20), np.ones(20), rng.normal(0, 0.01, 20), order),
+            weighted_gram(t, 0.5 * t, np.exp(-t * t), rng.normal(0, 0.01, 20), order),
+            weighted_gram(np.full(8, 0.3), np.full(8, -0.2), np.ones(8), np.full(8, 0.01), order),
+            weighted_gram(*lattice, np.ones(lattice.shape[1]),
+                          np.arange(lattice.shape[1]) / 100, order),
+        ]
+        gram, rhs = gram_stack(systems)
+        with lapack_calls() as calls:
+            got = _solve_gram(gram, rhs)
+        assert rows(calls["pinv"]) == len(systems)
+        assert np.array_equal(got, pinv_solution(gram, rhs))
+
+
+def test_benchmark_like_frame_stays_off_lapack():
+    """On the criterion-6 scene at 640x480 with 2 mm noise, no covariance
+    and no Gram matrix of the fused masks reaches LAPACK. The degenerate
+    control shows the wrappers see the solvers' fallback."""
+    img, cloud, config = synth_inputs(four_box_scene(noise_sigma_m=0.002, seed=0))
+    _, masks = segment_image(config, img, "parent")
+    assert len(masks) == 4
+    conditioned = 0
+    with lapack_calls() as calls:
+        for mask in masks:
+            pts = map_mask_to_cloud(mask, config.homography, cloud).points
+            pts = voxel_grid_downsample(pts, config.voxel_leaf_m)
+            pts = statistical_outlier_removal(pts, config.sor_k, config.sor_alpha)
+            pts = mls_resample(pts, config.mls_radius_m, config.mls_order)
+            field = compute_normal_field(pts, config.don_radius_small_m,
+                                         config.don_radius_large_m)
+            assert field.defined.mean() > 0.9
+            conditioned += len(pts)
+    assert conditioned > 1000
+    assert rows(calls["eigh"]) == 0 and rows(calls["pinv"]) == 0
+
+    duplicates = np.repeat([[0.1, 0.2, 0.9], [0.1, 0.2, 0.901]], 10, axis=0)
+    with lapack_calls() as calls:
+        mls_resample(duplicates, 0.01)
+        compute_normal_field(duplicates[:10], 0.01, 0.02)
+    assert rows(calls["pinv"]) == 20 and rows(calls["eigh"]) == 20

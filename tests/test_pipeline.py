@@ -635,6 +635,17 @@ class TestCli:
                       "--config", str(workdir / "bad_config.json"))
         assert out.returncode == 3
 
+    def test_subnormal_voxel_leaf_is_config_error(self, workdir):
+        # 1.1 m over 5e-324 overflows, so no voxel key is finite
+        config = json.loads((workdir / "config.json").read_text())
+        write_json(workdir / "subnormal_leaf.json", {**config, "voxel_leaf_m": 5e-324})
+        out = run_cli("pipeline", str(workdir / "data" / "image.pgm"),
+                      str(workdir / "data" / "cloud.ply"),
+                      "--config", str(workdir / "subnormal_leaf.json"))
+        assert out.returncode == 3, out.stderr
+        assert "voxel leaf" in out.stderr
+        assert "Traceback" not in out.stderr and "Warning" not in out.stderr
+
     def test_truncated_image_is_input_error(self, workdir):
         (workdir / "truncated.pgm").write_bytes(b"P5\n10 10\n255\n0123")
         out = run_cli("segment", str(workdir / "truncated.pgm"),
