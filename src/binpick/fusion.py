@@ -42,12 +42,13 @@ class Homography:
     def map_points(self, xy: np.ndarray) -> np.ndarray:
         """Map (n, 2) pixel coordinates through the homography."""
         pts = np.asarray(xy, dtype=float).reshape(-1, 2)
-        return self._map_homogeneous(_homogeneous(pts[:, 0], pts[:, 1]))
+        return np.column_stack(self._map_columns(_homogeneous(pts[:, 0], pts[:, 1])))
 
-    def _map_homogeneous(self, homog: np.ndarray) -> np.ndarray:
-        """Map (n, 3) homogeneous pixel coordinates to (n, 2) depth pixels."""
+    def _map_columns(self, homog: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Depth-pixel columns u and v of (n, 3) homogeneous pixel rows, each
+        divided by the mapped third coordinate."""
         mapped = homog @ self.h.T
-        return mapped[:, :2] / mapped[:, 2:3]
+        return mapped[:, 0] / mapped[:, 2], mapped[:, 1] / mapped[:, 2]
 
     def to_flat_list(self) -> list[float]:
         return [float(v) for v in self.h.reshape(9)]
@@ -138,21 +139,20 @@ def map_mask_to_cloud(mask: BinaryMask, homography: Homography,
     """Collect the valid cloud points under a mask.
 
     Every mask pixel maps through the homography and rounds to the nearest
-    depth-grid cell; out-of-range cells and invalid points are skipped and
-    duplicate cells collapse to one point. Pixels go MAP_CHUNK_PX at a time
-    into a grid-sized bitmap, whose set cells come out sorted and unique.
-    Raises EmptyClusterError when nothing valid remains.
+    depth-grid cell; out-of-range cells are skipped. Pixels go MAP_CHUNK_PX at
+    a time and mark their cells in a grid-sized bitmap, which is intersected
+    with the cloud's validity once, so duplicate cells collapse and the set
+    cells come out sorted and unique. Raises EmptyClusterError when nothing
+    valid remains.
     """
     hit = np.zeros(cloud.height * cloud.width, dtype=bool)
     for start in range(0, len(mask.indices), MAP_CHUNK_PX):
         ys, xs = np.divmod(mask.indices[start:start + MAP_CHUNK_PX], mask.width)
-        mapped = homography._map_homogeneous(_homogeneous(xs, ys))
-        u = np.rint(mapped[:, 0]).astype(np.int64)
-        v = np.rint(mapped[:, 1]).astype(np.int64)
+        u, v = homography._map_columns(_homogeneous(xs, ys))
+        u, v = np.rint(u, out=u), np.rint(v, out=v)
         inside = (u >= 0) & (u < cloud.width) & (v >= 0) & (v < cloud.height)
-        u, v = u[inside], v[inside]
-        ok = cloud.valid[v, u]
-        hit[v[ok] * cloud.width + u[ok]] = True
+        hit[(v[inside] * cloud.width + u[inside]).astype(np.intp)] = True
+    hit &= cloud.valid.reshape(-1)
     cells = np.flatnonzero(hit)
     if len(cells) == 0:
         raise EmptyClusterError("mask covers no valid depth points")

@@ -54,14 +54,66 @@ def fit_plane_pca(points: np.ndarray) -> PlaneModel:
     return normalize_plane([normal[0], normal[1], normal[2], -normal @ centroid])
 
 
+# Hypotheses drawn and scored at a time, so scoring holds an n x RANSAC_BLOCK
+# distance matrix at any iteration count.
+RANSAC_BLOCK = 256
+
+# The order numpy's shuffle of a three-element sample leaves it in, indexed by
+# its two swap draws: j in [0, 2] swaps places j and 2, then k in [0, 1] swaps
+# places k and 1.
+_SHUFFLED = np.array([[[1, 2, 0], [2, 1, 0]],
+                      [[2, 0, 1], [0, 2, 1]],
+                      [[1, 0, 2], [0, 1, 2]]])
+
+
+def _sample_triples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """``count`` rows of ``rng.choice(n, 3, replace=False)``, drawn as one batch.
+
+    For three of n < 2**32, ``choice`` is Floyd's sampling algorithm (Bentley &
+    Floyd, CACM 1987) over bounds n-3, n-2 and n-1, followed by a shuffle over
+    bounds 2 and 1; each bounded draw is Lemire's multiply-shift of one 32-bit
+    word (Lemire, ACM TOMACS 2019), and a bound of 0 draws nothing. One batch
+    of words through the same arithmetic gives the same triples and leaves the
+    generator in the same state. A row with a word that Lemire's method would
+    reject is drawn by ``choice`` itself from the restored state.
+    """
+    bounds = np.array([n - 3, n - 2, n - 1, 2, 1], dtype=np.uint64)[n == 3:]
+    span = bounds + 1
+    threshold = (np.uint64(2**32 - 1) - bounds) % span
+    out = np.empty((count, 3), dtype=np.int64)
+    done = 0
+    while done < count:
+        state = rng.bit_generator.state
+        scaled = rng.integers(0, 2**32, size=(count - done, len(bounds)), dtype=np.uint32) * span
+        rejected = (scaled & np.uint64(2**32 - 1)) < threshold
+        good = int(rejected.any(axis=1).argmax()) if rejected.any() else len(scaled)
+        draws = (scaled[:good] >> np.uint64(32)).astype(np.int64)
+        floyd = np.zeros((good, 3), dtype=np.int64)
+        floyd[:, 5 - len(bounds):] = draws[:, :-2]
+        a, b, c = floyd.T
+        np.copyto(b, n - 2, where=b == a)
+        np.copyto(c, n - 1, where=(c == a) | (c == b))
+        order = _SHUFFLED[draws[:, -2], draws[:, -1]]
+        out[done:done + good] = floyd[np.arange(good)[:, None], order]
+        done += good
+        if done < count:
+            rng.bit_generator.state = state
+            rng.integers(0, 2**32, size=(good, len(bounds)), dtype=np.uint32)
+            out[done] = rng.choice(n, size=3, replace=False)
+            done += 1
+    return out
+
+
 def ransac_plane(points: np.ndarray, dist_thresh: float = DEFAULT_RANSAC_DIST_THRESH,
                  max_iter: int = DEFAULT_RANSAC_ITERATIONS,
                  seed=0) -> tuple[np.ndarray, PlaneModel]:
     """Best consensus plane over random 3-point hypotheses, then a least-squares
     refit on the winning inliers and re-selection against the refit model.
 
-    Deterministic for a given seed (an int or a numpy Generator). Raises
-    ValueError when the points are collinear (no plane is defined).
+    Deterministic for a given seed (an int or a numpy Generator); the
+    hypotheses are the triples of ``max_iter`` calls of ``rng.choice(n, 3,
+    replace=False)``. Raises ValueError when the points are collinear (no
+    plane is defined).
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     n = len(pts)
@@ -72,26 +124,28 @@ def ransac_plane(points: np.ndarray, dist_thresh: float = DEFAULT_RANSAC_DIST_TH
         raise ValueError("degenerate input: points are collinear")
 
     rng = np.random.default_rng(seed)
-    triples = np.array([rng.choice(n, size=3, replace=False) for _ in range(max_iter)],
-                       dtype=np.int64).reshape(-1, 3)
-    p0 = pts[triples[:, 0]]
-    v1 = pts[triples[:, 1]] - p0
-    v2 = pts[triples[:, 2]] - p0
-    nrm = np.cross(v1, v2)
-    mag = np.linalg.norm(nrm, axis=1)
-    ok = mag >= 1e-12 * np.maximum(np.linalg.norm(v1, axis=1) * np.linalg.norm(v2, axis=1),
-                                   1e-300)
-    nrm = nrm[ok] / mag[ok, None]
-    # One product scores every hypothesis; argmax keeps the first best, as a
-    # sequential scan with a strict improvement test would.
-    dist = pts @ nrm.T
-    dist -= np.einsum("hi,hi->h", nrm, p0[ok])
-    hits = np.abs(dist, out=dist) <= dist_thresh
-    counts = hits.sum(0)
-    if counts.max(initial=0) > 0:
-        best_inliers = hits[:, int(counts.argmax())]
-    else:  # every sampled triple was collinear; fall back
-        best_inliers = np.ones(n, dtype=bool)
+    best_count = 0
+    best_inliers = np.ones(n, dtype=bool)  # kept if every sampled triple is collinear
+    for start in range(0, max_iter, RANSAC_BLOCK):
+        triples = _sample_triples(rng, n, min(RANSAC_BLOCK, max_iter - start))
+        p0 = pts[triples[:, 0]]
+        v1 = pts[triples[:, 1]] - p0
+        v2 = pts[triples[:, 2]] - p0
+        nrm = np.cross(v1, v2)
+        mag = np.linalg.norm(nrm, axis=1)
+        ok = mag >= 1e-12 * np.maximum(np.linalg.norm(v1, axis=1) * np.linalg.norm(v2, axis=1),
+                                       1e-300)
+        nrm = nrm[ok] / mag[ok, None]
+        # One product scores a block; argmax and the strict test keep the
+        # first best, as a sequential scan with a strict improvement test would.
+        dist = pts @ nrm.T
+        dist -= np.einsum("hi,hi->h", nrm, p0[ok])
+        hits = np.abs(dist, out=dist) <= dist_thresh
+        counts = hits.sum(0)
+        if counts.max(initial=0) > best_count:
+            best = int(counts.argmax())
+            best_count = counts[best]
+            best_inliers = hits[:, best]
 
     model = fit_plane_pca(pts[best_inliers])
     final = np.abs(plane_signed_distances(model, pts)) <= dist_thresh

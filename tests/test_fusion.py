@@ -152,3 +152,48 @@ class TestChunkedMapAgainstWholeMask:
                                valid=rng.random(GRID_SHAPE) < 0.8)
         got = map_mask_to_cloud(BinaryMask.from_bits(bits, "parent"), homography, cloud)
         assert np.array_equal(got.points, oracles.map_mask_to_cloud(bits, homography, cloud))
+
+
+class TestSmallMasksAgainstWholeMask:
+    """Masks below one chunk, down to one pixel or one row, collect the
+    oracle's points; a mask mapped wholly off the grid, or onto invalid cells
+    only, raises EmptyClusterError."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), projective=st.booleans(),
+           shape=st.sampled_from(["pixel", "row", "box", "scatter"]),
+           valid_fraction=st.floats(0.0, 1.0), off_grid=st.booleans())
+    def test_small_masks(self, seed, projective, shape, valid_fraction, off_grid):
+        rng = np.random.default_rng(seed)
+        h, w = RGB_SHAPE
+        y, x = int(rng.integers(0, h)), int(rng.integers(0, w))
+        bits = np.zeros(RGB_SHAPE, dtype=bool)
+        if shape == "pixel":
+            bits[y, x] = True
+        elif shape == "row":
+            bits[y, x:x + int(rng.integers(1, w - x + 1))] = True
+        elif shape == "box":
+            bits[y:y + int(rng.integers(1, 160)), x:x + int(rng.integers(1, 200))] = True
+        else:
+            bits = rng.random(RGB_SHAPE) < rng.uniform(0.0, 0.45)
+        assert np.count_nonzero(bits) <= MAP_CHUNK_PX
+        homography = random_homography(rng, projective)
+        if off_grid:  # shifts every mapped cell ten grid widths right
+            shift = np.eye(3)
+            shift[0, 2] = 10 * GRID_SHAPE[1]
+            homography = Homography(shift @ homography.h)
+        cloud = OrganizedCloud(points=rng.normal(size=(*GRID_SHAPE, 3)),
+                               valid=rng.random(GRID_SHAPE) < valid_fraction)
+        want = oracles.map_mask_to_cloud(bits, homography, cloud)
+        mask = BinaryMask.from_bits(bits, "child")
+        if off_grid or len(want) == 0:
+            assert len(want) == 0
+            with pytest.raises(EmptyClusterError):
+                map_mask_to_cloud(mask, homography, cloud)
+        else:
+            assert np.array_equal(map_mask_to_cloud(mask, homography, cloud).points, want)
+
+        ys, xs = np.nonzero(bits)
+        mapped = np.column_stack([xs, ys, np.ones(len(xs))]) @ homography.h.T
+        columns = np.column_stack([mapped[:, 0] / mapped[:, 2], mapped[:, 1] / mapped[:, 2]])
+        assert np.array_equal(homography.map_points(np.column_stack([xs, ys])), columns)

@@ -1,12 +1,15 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from binpick.core import plane_signed_distances
 from binpick.planes import (
+    RANSAC_BLOCK,
     SegmentedPlane,
+    _sample_triples,
     check_overlapping,
     extract_planes_iterative,
     fit_plane_pca,
@@ -99,7 +102,8 @@ class TestRansacAgainstLoop:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 150),
            planar=st.booleans(), repeats=st.booleans(),
            dist_thresh=st.sampled_from([0.001, 0.005, 0.02, 0.1]),
-           max_iter=st.integers(1, 200))
+           max_iter=st.one_of(st.integers(1, 200),
+                              st.integers(RANSAC_BLOCK + 1, 3 * RANSAC_BLOCK)))
     def test_same_inliers_and_model(self, seed, n, planar, repeats, dist_thresh, max_iter):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-0.1, 0.1, size=(n, 3))
@@ -128,6 +132,85 @@ class TestRansacAgainstLoop:
             np.array_equal(ref_inliers, inliers)
             and np.array_equal(ref_model.coefficients(), model.coefficients())
             for ref_inliers, ref_model in (refit(pts, c, dist_thresh) for c in candidates))
+
+
+def same_state(a, b) -> bool:
+    """Bit-generator state dicts equal, array entries included."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
+
+
+class TestSampleTriples:
+    """One batch of words gives the triples of one ``choice`` call per
+    hypothesis and leaves the generator where those calls leave it. Just above
+    2**31 points about half the bounded draws are rejected and redrawn."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.one_of(st.integers(3, 5000), st.integers(2**31 + 1, 2**31 + 2**20)),
+           count=st.integers(1, 300), bit_generator=st.sampled_from(BIT_GENERATORS),
+           seed=st.integers(0, 2**32 - 1), half_word=st.booleans())
+    @example(n=3, count=40, bit_generator=np.random.PCG64, seed=0, half_word=False)
+    @example(n=4, count=300, bit_generator=np.random.MT19937, seed=1, half_word=False)
+    @example(n=2**31 + 1, count=300, bit_generator=np.random.SFC64, seed=2, half_word=True)
+    def test_same_triples_and_state(self, n, count, bit_generator, seed, half_word):
+        rng = np.random.Generator(bit_generator(seed))
+        ref = np.random.Generator(bit_generator(seed))
+        if half_word:  # leaves half of a 64-bit output buffered
+            rng.integers(0, 2**32, dtype=np.uint32)
+            ref.integers(0, 2**32, dtype=np.uint32)
+        got = _sample_triples(rng, n, count)
+        want = np.array([ref.choice(n, size=3, replace=False) for _ in range(count)])
+        assert np.array_equal(got, want)
+        assert same_state(rng.bit_generator.state, ref.bit_generator.state)
+
+
+class CountingGenerator(np.random.Generator):
+    """A Generator that counts its ``choice`` calls; ``default_rng`` passes it
+    through unchanged."""
+
+    choice_calls = 0
+
+    def choice(self, *args, **kwargs):
+        self.choice_calls += 1
+        return super().choice(*args, **kwargs)
+
+
+class TestRansacDraws:
+    def test_no_per_hypothesis_choice_calls(self):
+        # Seed 3 draws no word that Lemire's method rejects, so no row falls
+        # back to ``choice``.
+        pts = plane_patch(np.random.default_rng(12), 1400, [0.1, 0.2, 1], -0.6, noise=0.002)
+        rng = CountingGenerator(np.random.PCG64(3))
+        assert np.random.default_rng(rng) is rng
+        inliers, model = ransac_plane(pts, seed=rng)
+        planes = extract_planes_iterative(pts, min_cluster_size=30, seed=rng)
+        assert rng.choice_calls == 0
+        ref = np.random.default_rng(3)
+        ref_inliers, ref_model = ransac_plane(pts, seed=ref)
+        ref_planes = extract_planes_iterative(pts, min_cluster_size=30, seed=ref)
+        assert np.array_equal(inliers, ref_inliers)
+        assert np.array_equal(model.coefficients(), ref_model.coefficients())
+        assert len(planes) == len(ref_planes) >= 1
+        assert all(np.array_equal(a.points, b.points) for a, b in zip(planes, ref_planes))
+
+    def test_memory_bounded_by_block(self):
+        # Scoring 5,000 hypotheses at once held an n x 5,000 distance matrix
+        # and its bool copy, 43.6 MiB here; blocks hold two n x RANSAC_BLOCK
+        # matrices at most.
+        rng = np.random.default_rng(13)
+        pts = rng.uniform(-0.1, 0.1, size=(1000, 3))
+        pts[:500, 2] = 0.5 + rng.normal(0, 0.002, size=500)
+        tracemalloc.start()
+        try:
+            ransac_plane(pts, max_iter=5000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestExtractPlanesIterative:
