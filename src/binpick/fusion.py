@@ -149,7 +149,8 @@ def map_mask_to_cloud(mask: BinaryMask, homography: Homography,
     for start in range(0, len(mask.indices), MAP_CHUNK_PX):
         ys, xs = np.divmod(mask.indices[start:start + MAP_CHUNK_PX], mask.width)
         u, v = homography._map_columns(_homogeneous(xs, ys))
-        u, v = np.rint(u, out=u), np.rint(v, out=v)
+        np.rint(u, out=u)
+        np.rint(v, out=v)
         inside = (u >= 0) & (u < cloud.width) & (v >= 0) & (v < cloud.height)
         hit[(v[inside] * cloud.width + u[inside]).astype(np.intp)] = True
     hit &= cloud.valid.reshape(-1)

@@ -77,7 +77,8 @@ def _sample_triples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     generator in the same state. A row with a word that Lemire's method would
     reject is drawn by ``choice`` itself from the restored state.
     """
-    bounds = np.array([n - 3, n - 2, n - 1, 2, 1], dtype=np.uint64)[n == 3:]
+    floyd_bounds = [n - 3, n - 2, n - 1] if n > 3 else [n - 2, n - 1]
+    bounds = np.array(floyd_bounds + [2, 1], dtype=np.uint64)
     span = bounds + 1
     threshold = (np.uint64(2**32 - 1) - bounds) % span
     out = np.empty((count, 3), dtype=np.int64)
@@ -89,14 +90,14 @@ def _sample_triples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
         good = int(rejected.any(axis=1).argmax()) if rejected.any() else len(scaled)
         draws = (scaled[:good] >> np.uint64(32)).astype(np.int64)
         floyd = np.zeros((good, 3), dtype=np.int64)
-        floyd[:, 5 - len(bounds):] = draws[:, :-2]
+        floyd[:, 3 - len(floyd_bounds):] = draws[:, :-2]
         a, b, c = floyd.T
         np.copyto(b, n - 2, where=b == a)
         np.copyto(c, n - 1, where=(c == a) | (c == b))
         order = _SHUFFLED[draws[:, -2], draws[:, -1]]
         out[done:done + good] = floyd[np.arange(good)[:, None], order]
         done += good
-        if done < count:
+        if done < count:  # replay the accepted rows' words, then the reference draws a row
             rng.bit_generator.state = state
             rng.integers(0, 2**32, size=(good, len(bounds)), dtype=np.uint32)
             out[done] = rng.choice(n, size=3, replace=False)
