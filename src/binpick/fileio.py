@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import EulerZYX, OrganizedCloud
 from .errors import InputError
+from .fusion import HOMOGRAPHY_JSON_KEY
 from .segmentation import BinaryMask, GrayImage
 from .synth import GroundTruthEntry
 
@@ -197,7 +198,7 @@ def truth_to_dict(entries: list[GroundTruthEntry],
         ]
     }
     if homography_flat is not None:
-        out["rgb_to_depth_homography"] = homography_flat
+        out[HOMOGRAPHY_JSON_KEY] = homography_flat
     return out
 
 

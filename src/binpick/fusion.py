@@ -42,25 +42,17 @@ class Homography:
     def map_points(self, xy: np.ndarray) -> np.ndarray:
         """Map (n, 2) pixel coordinates through the homography."""
         pts = np.asarray(xy, dtype=float).reshape(-1, 2)
-        return np.column_stack(self._map_columns(_homogeneous(pts[:, 0], pts[:, 1])))
+        return np.column_stack(self._map_columns(pts[:, 0], pts[:, 1]))
 
-    def _map_columns(self, homog: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Depth-pixel columns u and v of (n, 3) homogeneous pixel rows, each
-        divided by the mapped third coordinate."""
-        mapped = homog @ self.h.T
-        return mapped[:, 0] / mapped[:, 2], mapped[:, 1] / mapped[:, 2]
+    def _map_columns(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Depth-pixel columns u and v of pixel columns x and y: the first two
+        rows' affine forms in (x, y), each divided by the third row's."""
+        (a, b, c), (d, e, f), (g, k, l) = self.h
+        z = g * x + k * y + l
+        return (a * x + b * y + c) / z, (d * x + e * y + f) / z
 
     def to_flat_list(self) -> list[float]:
         return [float(v) for v in self.h.reshape(9)]
-
-
-def _homogeneous(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(n, 3) float64 rows (x, y, 1), filled in one preallocated array."""
-    homog = np.empty((len(x), 3))
-    homog[:, 0] = x
-    homog[:, 1] = y
-    homog[:, 2] = 1.0
-    return homog
 
 
 @dataclass(frozen=True)
@@ -148,13 +140,10 @@ def map_mask_to_cloud(mask: BinaryMask, homography: Homography,
     hit = np.zeros(cloud.height * cloud.width, dtype=bool)
     for start in range(0, len(mask.indices), MAP_CHUNK_PX):
         ys, xs = np.divmod(mask.indices[start:start + MAP_CHUNK_PX], mask.width)
-        u, v = homography._map_columns(_homogeneous(xs, ys))
+        u, v = homography._map_columns(xs, ys)
         np.rint(u, out=u)
         np.rint(v, out=v)
         inside = (u >= 0) & (u < cloud.width) & (v >= 0) & (v < cloud.height)
         hit[(v[inside] * cloud.width + u[inside]).astype(np.intp)] = True
     hit &= cloud.valid.reshape(-1)
-    cells = np.flatnonzero(hit)
-    if len(cells) == 0:
-        raise EmptyClusterError("mask covers no valid depth points")
-    return MaskedCluster(points=cloud.points.reshape(-1, 3)[cells])
+    return MaskedCluster(points=cloud.points.reshape(-1, 3)[np.flatnonzero(hit)])

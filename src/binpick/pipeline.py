@@ -198,25 +198,14 @@ def segment_image(config: PipelineConfig, image: GrayImage, phase: str
                   ) -> tuple[list[segmentation.Contour], list[segmentation.BinaryMask]]:
     """Segmentation down to the masks of one phase; returns (refined contours, masks).
 
-    The ROI must lie inside the image and cover at least 3x3 pixels; without
-    one, the image itself must (InputError otherwise). The contour-area
-    threshold is defined at the full camera frame's scale; an ROI crop does
-    not change apparent box size.
+    The ROI must lie inside the image and cover at least 3x3 pixels
+    (ConfigError otherwise); without one, the image itself must (InputError
+    otherwise). The contour-area threshold is defined at the full camera
+    frame's scale; an ROI crop does not change apparent box size.
     """
     if phase not in segmentation.PHASES:
         raise ConfigError(f"phase must be one of {segmentation.PHASES}")
-    roi_img = image
-    if config.roi is None:
-        if image.width < 3 or image.height < 3:
-            raise InputError(f"image is {image.width}x{image.height}; "
-                             "segmentation needs at least 3x3 pixels")
-    else:
-        x, y, w, h = config.roi
-        if not (x >= 0 and y >= 0 and 3 <= w <= image.width - x
-                and 3 <= h <= image.height - y):
-            raise ConfigError(f"roi {list(config.roi)} must cover at least 3x3 pixels "
-                              f"inside the {image.width}x{image.height} image")
-        roi_img = segmentation.extract_roi(image, config.roi)
+    roi_img = image if config.roi is None else segmentation.extract_roi(image, config.roi)
     smooth = segmentation.gaussian_smooth_3x3(roi_img)
     edges = segmentation.auto_canny(smooth, config.canny_sigma)
     contours = segmentation.find_contours(edges)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import EulerZYX, PlaneModel, Point3
 from .planes import SegmentedPlane
+from .segmentation import PHASES
 
 _GIMBAL_EPS = 1e-9
 
@@ -36,8 +37,8 @@ class Pose6DoF:
     priority: str
 
     def __post_init__(self):
-        if self.priority not in ("child", "parent"):
-            raise ValueError("priority must be 'child' or 'parent'")
+        if self.priority not in PHASES:
+            raise ValueError(f"priority must be one of {PHASES}")
 
 
 def build_frame(normal) -> np.ndarray:

@@ -16,6 +16,8 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import ConfigError, InputError
+
 # Gradient kernels applied by cross-correlation; x increases right, y increases down.
 KGX = np.array([[-1, 0, 1],
                 [-2, 0, 2],
@@ -57,7 +59,8 @@ def _pixel_index_dtype(height: int, width: int) -> type:
 
 @dataclass(frozen=True)
 class GrayImage:
-    """8-bit grayscale image, row-major."""
+    """8-bit grayscale image, row-major. Integer pixels in 0..255 are stored
+    as uint8; any other dtype or value is refused, not wrapped or truncated."""
 
     pixels: np.ndarray
 
@@ -66,6 +69,10 @@ class GrayImage:
         if px.ndim != 2:
             raise ValueError("pixels must be a 2D array")
         if px.dtype != np.uint8:
+            if px.dtype.kind not in "iu":
+                raise ValueError(f"pixels must be integers, not {px.dtype}")
+            if px.size and (px.min() < 0 or px.max() > 255):
+                raise ValueError("pixels must lie in 0..255")
             px = px.astype(np.uint8)
         object.__setattr__(self, "pixels", px)
 
@@ -146,14 +153,14 @@ class BinaryMask:
 
 
 def extract_roi(img: GrayImage, rect: tuple[int, int, int, int]) -> GrayImage:
-    """Crop the bin region of interest; later pixel coordinates are ROI-relative."""
+    """Crop the bin region of interest; later pixel coordinates are ROI-relative.
+
+    Raises ConfigError unless the ROI covers at least 3x3 pixels inside the image.
+    """
     x, y, w, h = rect
-    if w <= 0 or h <= 0:
-        raise ValueError("ROI must have positive size")
-    if x < 0 or y < 0 or x + w > img.width or y + h > img.height:
-        raise ValueError(
-            f"ROI {rect} exceeds image bounds {img.width}x{img.height}"
-        )
+    if not (x >= 0 and y >= 0 and 3 <= w <= img.width - x and 3 <= h <= img.height - y):
+        raise ConfigError(f"roi {list(rect)} must cover at least 3x3 pixels "
+                          f"inside the {img.width}x{img.height} image")
     return GrayImage(img.pixels[y:y + h, x:x + w].copy())
 
 
@@ -186,7 +193,8 @@ def _bands(h: int, halo: int):
 
 def _require_3x3(img: GrayImage) -> None:
     if img.width < 3 or img.height < 3:
-        raise ValueError("image must be at least 3x3")
+        raise InputError(f"image is {img.width}x{img.height}; "
+                         "segmentation needs at least 3x3 pixels")
 
 
 def _padded(px: np.ndarray, start: int, stop: int, dtype) -> np.ndarray:

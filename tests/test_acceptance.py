@@ -125,6 +125,31 @@ def test_criterion_3_adjacent_boxes():
     print("\nACCEPTANCE 3 (adjacent same-height boxes): PASS")
 
 
+def test_equal_height_seam_limit():
+    """Touching boxes of equal height leave no depth step, so only the image
+    can split them. With top faces 24 gray levels apart or closer, the two
+    boxes give one mask and one pose on the seam, matching neither box; at
+    32 levels apart, or with a 1 mm gap, both are found."""
+    def seam_scene(gap_mm, levels):
+        half = 50 + gap_mm / 2
+        return SceneSpec(
+            boxes=(make_box((100, 100, 50), (-half, 0, 25), intensity=180),
+                   make_box((100, 100, 50), (half, 0, 25), intensity=180 + levels)),
+            rgb_resolution=(640, 480))
+
+    for levels in (0, 8, 16, 24):
+        scene = seam_scene(0, levels)
+        report = detect(scene, "parent")
+        assert report.counts["masks"] == 1 and len(report.poses) == 1, levels
+        c = report.poses[0].centroid_mm
+        assert np.allclose([c.x, c.y, c.z], [0.0, 0.0, 1150.0], atol=0.5), (levels, c)
+        assert verify_against_ground_truth(report, ground_truth(scene))["matches"] == []
+    for gap_mm, levels in ((0, 32), (1, 0)):
+        scene = seam_scene(gap_mm, levels)
+        table = verify_against_ground_truth(detect(scene, "parent"), ground_truth(scene))
+        assert len(table["matches"]) == 2 and table["misses"] == 0, (gap_mm, levels)
+
+
 def test_criterion_4_stacked_boxes():
     big = make_box((150, 150, 60), (0, 0, 30), intensity=180)
     small = make_box((80, 80, 40), (0, 0, 80), intensity=230)

@@ -194,6 +194,5 @@ class TestSmallMasksAgainstWholeMask:
             assert np.array_equal(map_mask_to_cloud(mask, homography, cloud).points, want)
 
         ys, xs = np.nonzero(bits)
-        mapped = np.column_stack([xs, ys, np.ones(len(xs))]) @ homography.h.T
-        columns = np.column_stack([mapped[:, 0] / mapped[:, 2], mapped[:, 1] / mapped[:, 2]])
+        columns = np.column_stack(homography._map_columns(xs, ys))
         assert np.array_equal(homography.map_points(np.column_stack([xs, ys])), columns)

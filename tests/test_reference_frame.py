@@ -15,7 +15,7 @@ import scipy.sparse.csgraph  # noqa: F401  (loaded before any allocation is trac
 from binpick import fusion, segmentation
 from binpick.fusion import map_mask_to_cloud
 from binpick.pipeline import PipelineConfig, segment_image
-from binpick.segmentation import DEFAULT_CANNY_SIGMA, auto_canny, gaussian_smooth_3x3
+from binpick.segmentation import DEFAULT_CANNY_SIGMA, BinaryMask, auto_canny, gaussian_smooth_3x3
 from binpick.synth import SceneSpec, render_depth, render_image, scene_homography
 
 from . import oracles
@@ -74,3 +74,21 @@ def test_segmentation_and_fusion_allocation_bounds(frame):
         tracemalloc.stop()
     assert segmentation_peak < 16 * MIB, f"segmentation peak {segmentation_peak / MIB:.1f} MiB"
     assert fusion_peak < 10 * MIB, f"fusion peak {fusion_peak / MIB:.1f} MiB"
+
+
+def test_full_frame_mask_fusion_allocation_bound(frame):
+    """Fusion of a mask covering all 3.1 M pixels of the frame peaks under
+    4.5 MiB (about 3.7 MiB): per 65,536-pixel chunk it holds the pixel
+    columns and the mapped u and v in float64, besides the grid bitmap and
+    the collected points."""
+    image, cloud, config = frame
+    mask = BinaryMask(np.arange(image.height * image.width), (image.height, image.width),
+                      "parent")
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        map_mask_to_cloud(mask, config.homography, cloud)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * MIB, f"fusion peak {peak / MIB:.2f} MiB"

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from binpick import segmentation
+from binpick.errors import ConfigError, InputError
 from binpick.segmentation import (
     BINOMIAL_TAPS,
     DEFAULT_CANNY_SIGMA,
@@ -112,6 +113,25 @@ class TestIntegerArithmetic:
             assert np.all(np.hypot(gx.astype(np.float64), gy.astype(np.float64)) <= l1)
 
 
+class TestGrayImage:
+    def test_uint8_pixels_kept_as_given(self):
+        px = np.zeros((3, 4), dtype=np.uint8)
+        assert GrayImage(px).pixels is px
+
+    def test_integers_in_range_stored_as_uint8(self):
+        px = GrayImage(np.array([[0, 17, 255]], dtype=np.int64)).pixels
+        assert px.dtype == np.uint8 and px.tolist() == [[0, 17, 255]]
+
+    @pytest.mark.parametrize("values", [
+        np.array([[256, 300, -1]]), np.array([[0, 256]], dtype=np.uint16),
+        np.array([[-1, 0]], dtype=np.int8), np.array([[255.7, 0.0]]),
+        np.array([[np.nan, 1.0]]), np.array([[True, False]]),
+    ], ids=["wrapping-ints", "uint16-above-255", "int8-below-0", "float", "nan", "bool"])
+    def test_values_that_would_wrap_or_truncate_refused(self, values):
+        with pytest.raises(ValueError, match="pixels must"):
+            GrayImage(values)
+
+
 class TestExtractRoi:
     def test_full_frame_is_identity(self):
         img = GrayImage(np.arange(100 * 100, dtype=np.uint8).reshape(100, 100) % 251)
@@ -128,6 +148,17 @@ class TestExtractRoi:
         img = GrayImage(np.zeros((100, 100), dtype=np.uint8))
         with pytest.raises(ValueError):
             extract_roi(img, (60, 60, 50, 50))
+
+    @pytest.mark.parametrize("rect", [(60, 60, 50, 50), (-1, 0, 10, 10), (0, 0, 2, 50),
+                                      (0, 0, 50, 2), (98, 0, 3, 3)])
+    def test_roi_not_3x3_inside_image_is_config_error(self, rect):
+        img = GrayImage(np.zeros((100, 100), dtype=np.uint8))
+        with pytest.raises(ConfigError, match="roi"):
+            extract_roi(img, rect)
+
+    def test_smallest_roi_kept(self):
+        img = GrayImage(np.zeros((100, 100), dtype=np.uint8))
+        assert extract_roi(img, (97, 97, 3, 3)).pixels.shape == (3, 3)
 
 
 class TestGaussianSmooth:
@@ -153,6 +184,11 @@ class TestGaussianSmooth:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             gaussian_smooth_3x3(GrayImage(np.zeros((2, 5), dtype=np.uint8)))
+
+    @pytest.mark.parametrize("stage", [gaussian_smooth_3x3, sobel_gradients, auto_canny])
+    def test_image_under_3x3_is_input_error(self, stage):
+        with pytest.raises(InputError, match="3x3"):
+            stage(GrayImage(np.zeros((5, 2), dtype=np.uint8)))
 
 
 class TestSobel:
