@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OrganizedCloud
-from .errors import EmptyClusterError
+from .errors import ConfigError, EmptyClusterError
 from .segmentation import BinaryMask
 
 HOMOGRAPHY_JSON_KEY = "rgb_to_depth_homography"
@@ -135,8 +135,17 @@ def map_mask_to_cloud(mask: BinaryMask, homography: Homography,
     a time and mark their cells in a grid-sized bitmap, which is intersected
     with the cloud's validity once, so duplicate cells collapse and the set
     cells come out sorted and unique. Raises EmptyClusterError when nothing
-    valid remains.
+    valid remains, and ConfigError when the homography's denominator is zero
+    at a corner of the mask's frame or changes sign between two: it is affine
+    in (x, y), so the corners bound it, and a frame it does not keep to one
+    side of the line at infinity maps partly to no cell or to wrong ones.
     """
+    rows, cols = mask.shape
+    g, k, l = homography.h[2]
+    z = g * np.array([0, cols - 1, 0, cols - 1]) + k * np.array([0, 0, rows - 1, rows - 1]) + l
+    if not ((z > 0).all() or (z < 0).all()):
+        raise ConfigError(f"calibration denominator is {', '.join(f'{v:.6g}' for v in z)} at "
+                          f"the corners of the {cols}x{rows} mask frame, not of one sign")
     hit = np.zeros(cloud.height * cloud.width, dtype=bool)
     for start in range(0, len(mask.indices), MAP_CHUNK_PX):
         ys, xs = np.divmod(mask.indices[start:start + MAP_CHUNK_PX], mask.width)

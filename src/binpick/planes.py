@@ -58,51 +58,16 @@ def fit_plane_pca(points: np.ndarray) -> PlaneModel:
 # distance matrix at any iteration count.
 RANSAC_BLOCK = 256
 
-# The order numpy's shuffle of a three-element sample leaves it in, indexed by
-# its two swap draws: j in [0, 2] swaps places j and 2, then k in [0, 1] swaps
-# places k and 1.
-_SHUFFLED = np.array([[[1, 2, 0], [2, 1, 0]],
-                      [[2, 0, 1], [0, 2, 1]],
-                      [[1, 0, 2], [0, 1, 2]]])
-
 
 def _sample_triples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """``count`` rows of ``rng.choice(n, 3, replace=False)``, drawn as one batch.
-
-    For three of n < 2**32, ``choice`` is Floyd's sampling algorithm (Bentley &
-    Floyd, CACM 1987) over bounds n-3, n-2 and n-1, followed by a shuffle over
-    bounds 2 and 1; each bounded draw is Lemire's multiply-shift of one 32-bit
-    word (Lemire, ACM TOMACS 2019), and a bound of 0 draws nothing. One batch
-    of words through the same arithmetic gives the same triples and leaves the
-    generator in the same state. A row with a word that Lemire's method would
-    reject is drawn by ``choice`` itself from the restored state.
-    """
-    floyd_bounds = [n - 3, n - 2, n - 1] if n > 3 else [n - 2, n - 1]
-    bounds = np.array(floyd_bounds + [2, 1], dtype=np.uint64)
-    span = bounds + 1
-    threshold = (np.uint64(2**32 - 1) - bounds) % span
-    out = np.empty((count, 3), dtype=np.int64)
-    done = 0
-    while done < count:
-        state = rng.bit_generator.state
-        scaled = rng.integers(0, 2**32, size=(count - done, len(bounds)), dtype=np.uint32) * span
-        rejected = (scaled & np.uint64(2**32 - 1)) < threshold
-        good = int(rejected.any(axis=1).argmax()) if rejected.any() else len(scaled)
-        draws = (scaled[:good] >> np.uint64(32)).astype(np.int64)
-        floyd = np.zeros((good, 3), dtype=np.int64)
-        floyd[:, 3 - len(floyd_bounds):] = draws[:, :-2]
-        a, b, c = floyd.T
-        np.copyto(b, n - 2, where=b == a)
-        np.copyto(c, n - 1, where=(c == a) | (c == b))
-        order = _SHUFFLED[draws[:, -2], draws[:, -1]]
-        out[done:done + good] = floyd[np.arange(good)[:, None], order]
-        done += good
-        if done < count:  # replay the accepted rows' words, then the reference draws a row
-            rng.bit_generator.state = state
-            rng.integers(0, 2**32, size=(good, len(bounds)), dtype=np.uint32)
-            out[done] = rng.choice(n, size=3, replace=False)
-            done += 1
-    return out
+    """``count`` ordered triples of distinct indices in [0, n), each uniform
+    over the n(n-1)(n-2) of them: i, j and k are drawn over n, n-1 and n-2
+    values, and j and k step past the indices already taken."""
+    i, j, k = rng.integers(0, [n, n - 1, n - 2], size=(count, 3)).T
+    j += j >= i
+    k += k >= np.minimum(i, j)  # the smaller taken index first, then the larger
+    k += k >= np.maximum(i, j)
+    return np.column_stack([i, j, k])
 
 
 def ransac_plane(points: np.ndarray, dist_thresh: float = DEFAULT_RANSAC_DIST_THRESH,
@@ -112,8 +77,8 @@ def ransac_plane(points: np.ndarray, dist_thresh: float = DEFAULT_RANSAC_DIST_TH
     refit on the winning inliers and re-selection against the refit model.
 
     Deterministic for a given seed (an int or a numpy Generator); the
-    hypotheses are the triples of ``max_iter`` calls of ``rng.choice(n, 3,
-    replace=False)``. Raises ValueError when the points are collinear (no
+    ``max_iter`` hypotheses are uniform triples of distinct points from
+    ``_sample_triples``. Raises ValueError when the points are collinear (no
     plane is defined).
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)

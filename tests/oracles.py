@@ -15,6 +15,9 @@ of every ray in one ``(n, 3)`` array, and one point and one edge at a time.
 ``cast_all_rays`` is its earlier frame cast, which tests every box against
 every ray of the frame rather than against its pixel window; it shares the
 per-box slab test with the library, which ``slab_intersect_box`` checks.
+``ransac_loop`` draws its triples with the library's sampler, in the same
+blocks as ``ransac_plane``, so that it checks the block scoring and not the
+draws.
 ``map_mask_to_cloud`` is fusion's earlier whole-mask projection: every set
 bit of a frame-sized bitmap through the homography in one product, and the
 distinct cells from ``np.unique``.
@@ -31,6 +34,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from binpick import synth
+from binpick.planes import RANSAC_BLOCK, _sample_triples
 
 
 def brute_radius(points: np.ndarray, query: np.ndarray, r: float) -> np.ndarray:
@@ -548,10 +552,11 @@ def ransac_loop(points: np.ndarray, dist_thresh: float, max_iter: int,
     or None when every sampled triple was degenerate.
     """
     n = len(points)
+    triples = np.vstack([_sample_triples(rng, n, min(RANSAC_BLOCK, max_iter - start))
+                         for start in range(0, max_iter, RANSAC_BLOCK)])
     best = None
     best_count = 0
-    for _ in range(max_iter):
-        i, j, k = rng.choice(n, size=3, replace=False)
+    for i, j, k in triples:
         v1 = points[j] - points[i]
         v2 = points[k] - points[i]
         nrm = np.cross(v1, v2)

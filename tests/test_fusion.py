@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binpick.core import OrganizedCloud
-from binpick.errors import EmptyClusterError
+from binpick.errors import ConfigError, EmptyClusterError
 from binpick.fusion import MAP_CHUNK_PX, Homography, estimate_homography, map_mask_to_cloud
 from binpick.segmentation import BinaryMask
 
@@ -95,6 +95,19 @@ class TestMapMaskToCloud:
         with pytest.raises(EmptyClusterError):
             map_mask_to_cloud(BinaryMask.from_bits(bits, role="child"),
                               Homography(np.eye(3)), cloud)
+
+    def test_denominator_of_one_sign_over_the_mask_frame(self):
+        # g x + k y + l is 1 - x / 7: zero at column 7, the last corner
+        # column of an 8-wide frame but outside a 7-wide one.
+        homography = Homography([[1, 0, 0], [0, 1, 0], [-1 / 7, 0, 1]])
+        cloud = full_valid_cloud()
+        wide = BinaryMask.from_bits(np.ones((6, 8), dtype=bool), role="parent")
+        with pytest.raises(ConfigError, match="denominator"):
+            map_mask_to_cloud(wide, homography, cloud)
+        narrow = BinaryMask.from_bits(np.ones((6, 7), dtype=bool), role="parent")
+        assert len(map_mask_to_cloud(narrow, homography, cloud).points) > 0
+        beyond = Homography([[1, 0, 0], [0, 1, 0], [-1 / 7.5, 0, 1]])
+        assert len(map_mask_to_cloud(wide, beyond, cloud).points) > 0
 
     def test_duplicates_collapse(self):
         cloud = full_valid_cloud()

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,26 @@ class TestRunPipeline:
         img, cloud, _ = synth_inputs(scene)
         with pytest.raises(ConfigError):
             run_pipeline(PipelineConfig(), img, cloud, "parent")
+
+    @pytest.mark.parametrize("c", [320, 320.5, 500.5])
+    def test_denominator_sign_change_in_frame_is_config_error(self, c):
+        # The true calibration gives one pose. Composed with a map whose line
+        # at infinity is the column x = c, inside the frame, runs returned no
+        # pose (with divide-by-zero warnings at c = 320) or a pose from the
+        # wrong map (c = 500.5).
+        scene = SceneSpec(boxes=(make_box((150, 120, 60), (0, 0, 30)),),
+                          rgb_resolution=(640, 480))
+        img, cloud, config = synth_inputs(scene)
+        assert len(run_pipeline(config, img, cloud, "parent").poses) == 1
+        h = config.homography.h @ np.array([[1, 0, 0], [0, 1, 0], [-1 / c, 0, 1]])
+        config = PipelineConfig(homography=Homography(h))
+        mask = BinaryMask.from_bits(np.ones((480, 640), dtype=bool), "parent")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="denominator"):
+                run_pipeline(config, img, cloud, "parent")
+            with pytest.raises(ConfigError, match="denominator"):
+                localize_masks(config, [mask], cloud)
 
     def test_bad_phase_rejected(self):
         scene = SceneSpec(rgb_resolution=(448, 344))
@@ -634,6 +655,20 @@ class TestCli:
                       str(workdir / "data" / "cloud.ply"),
                       "--config", str(workdir / "bad_config.json"))
         assert out.returncode == 3
+
+    def test_denominator_sign_change_is_config_error(self, workdir):
+        # The homography's line at infinity, x = 320, cuts the 640x480 frame.
+        config = json.loads((workdir / "config.json").read_text())
+        h = np.reshape(config["rgb_to_depth_homography"], (3, 3))
+        h = h @ np.array([[1, 0, 0], [0, 1, 0], [-1 / 320, 0, 1]])
+        write_json(workdir / "crossing.json",
+                   {**config, "rgb_to_depth_homography": h.ravel().tolist()})
+        out = run_cli("pipeline", str(workdir / "data" / "image.pgm"),
+                      str(workdir / "data" / "cloud.ply"),
+                      "--config", str(workdir / "crossing.json"))
+        assert out.returncode == 3, out.stderr
+        assert "denominator" in out.stderr
+        assert "Traceback" not in out.stderr and "Warning" not in out.stderr
 
     def test_subnormal_voxel_leaf_is_config_error(self, workdir):
         # 1.1 m over 5e-324 overflows, so no voxel key is finite

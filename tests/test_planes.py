@@ -134,38 +134,32 @@ class TestRansacAgainstLoop:
             for ref_inliers, ref_model in (refit(pts, c, dist_thresh) for c in candidates))
 
 
-def same_state(a, b) -> bool:
-    """Bit-generator state dicts equal, array entries included."""
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
-    return np.array_equal(a, b)
-
-
-BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
-
-
-class TestSampleTriples:
-    """One batch of words gives the triples of one ``choice`` call per
-    hypothesis and leaves the generator where those calls leave it. Just above
-    2**31 points about half the bounded draws are rejected and redrawn."""
+class TestTripleSampler:
+    """Each row holds three distinct indices in [0, n), the seed fixes the
+    rows, and every ordered triple is equally likely."""
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.one_of(st.integers(3, 5000), st.integers(2**31 + 1, 2**31 + 2**20)),
-           count=st.integers(1, 300), bit_generator=st.sampled_from(BIT_GENERATORS),
-           seed=st.integers(0, 2**32 - 1), half_word=st.booleans())
-    @example(n=3, count=40, bit_generator=np.random.PCG64, seed=0, half_word=False)
-    @example(n=4, count=300, bit_generator=np.random.MT19937, seed=1, half_word=False)
-    @example(n=2**31 + 1, count=300, bit_generator=np.random.SFC64, seed=2, half_word=True)
-    def test_same_triples_and_state(self, n, count, bit_generator, seed, half_word):
-        rng = np.random.Generator(bit_generator(seed))
-        ref = np.random.Generator(bit_generator(seed))
-        if half_word:  # leaves half of a 64-bit output buffered
-            rng.integers(0, 2**32, dtype=np.uint32)
-            ref.integers(0, 2**32, dtype=np.uint32)
-        got = _sample_triples(rng, n, count)
-        want = np.array([ref.choice(n, size=3, replace=False) for _ in range(count)])
-        assert np.array_equal(got, want)
-        assert same_state(rng.bit_generator.state, ref.bit_generator.state)
+           count=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    @example(n=3, count=40, seed=0)
+    def test_distinct_indices_in_range_and_seeded(self, n, count, seed):
+        triples = _sample_triples(np.random.default_rng(seed), n, count)
+        assert triples.shape == (count, 3)
+        assert triples.min() >= 0 and triples.max() < n
+        i, j, k = triples.T
+        assert ((i != j) & (i != k) & (j != k)).all()
+        assert np.array_equal(triples, _sample_triples(np.random.default_rng(seed), n, count))
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_every_ordered_triple_evenly(self, n):
+        draws = 200_000
+        i, j, k = _sample_triples(np.random.default_rng(n), n, draws).T
+        counts = np.bincount((i * n + j) * n + k, minlength=n**3)
+        perms = [(a * n + b) * n + c for a, b, c in itertools.permutations(range(n), 3)]
+        seen = counts[perms]
+        assert seen.sum() == draws
+        p = 1 / len(perms)
+        assert np.abs(seen - draws * p).max() <= 5 * np.sqrt(draws * p * (1 - p))
 
 
 class CountingGenerator(np.random.Generator):
@@ -181,8 +175,6 @@ class CountingGenerator(np.random.Generator):
 
 class TestRansacDraws:
     def test_no_per_hypothesis_choice_calls(self):
-        # Seed 3 draws no word that Lemire's method rejects, so no row falls
-        # back to ``choice``.
         pts = plane_patch(np.random.default_rng(12), 1400, [0.1, 0.2, 1], -0.6, noise=0.002)
         rng = CountingGenerator(np.random.PCG64(3))
         assert np.random.default_rng(rng) is rng
