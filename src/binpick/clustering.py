@@ -20,6 +20,8 @@ from typing import Optional
 
 import numpy as np
 
+from .core import knn_distances
+
 DEFAULT_MIN_CLUSTER_SIZE = 30
 
 # Guards against infinite density when duplicate points make distances collapse.
@@ -70,15 +72,7 @@ class CondensedTree:
 
 def core_distances(points: np.ndarray, k: int) -> np.ndarray:
     """Distance from each point to its k-th nearest neighbor (self excluded)."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if len(pts) <= k:
-        raise ValueError(f"need more than k={k} points, got {len(pts)}")
-    from scipy.spatial import cKDTree
-
-    d, _ = cKDTree(pts).query(pts, k=k + 1)
-    return d[:, k]
+    return knn_distances(np.asarray(points, dtype=float).reshape(-1, 3), k)[:, -1]
 
 
 def mutual_reachability_mst(points: np.ndarray, min_samples: int

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .core import knn_distances
 from .errors import ConfigError
 
 if TYPE_CHECKING:
@@ -24,7 +25,6 @@ if TYPE_CHECKING:
 DEFAULT_SOR_K = 8
 DEFAULT_SOR_ALPHA = 1.0
 DEFAULT_DON_THRESHOLD = 0.25
-DEFAULT_MLS_ORDER = 2
 
 _SENSOR_ORIGIN = np.zeros(3)
 
@@ -83,22 +83,14 @@ def statistical_outlier_removal(points: np.ndarray, k: int = DEFAULT_SOR_K,
     the global mean plus alpha standard deviations. Points exactly at the
     threshold are kept."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if len(pts) <= k:
-        raise ValueError(f"need more than k={k} points, got {len(pts)}")
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(pts)
-    d, _ = tree.query(pts, k=k + 1)
-    mean_d = d[:, 1:].mean(axis=1)
+    mean_d = knn_distances(pts, k).mean(axis=1)
     thresh = mean_d.mean() + alpha * mean_d.std()
     return pts[mean_d <= thresh]
 
 
-# Powers (p, q) of the local coordinates (u, v) in each term of the height
-# polynomial: 1, u, v, then u^2, uv, v^2 for order 2.
-_DESIGN_EXPONENTS = np.array([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+# Powers of the local coordinates u and v in each term of the quadratic
+# height polynomial: 1, u, v, u^2, uv, v^2.
+_POW_U, _POW_V = np.array([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]).T
 
 # A symmetric 3x3 matrix is stored component-major as its six distinct
 # entries (6, n), in this (row, column) order; _SYM_INDEX rebuilds the full
@@ -261,28 +253,22 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def mls_resample(points: np.ndarray, radius: float,
-                 order: int = DEFAULT_MLS_ORDER) -> np.ndarray:
-    """Project each point onto a local weighted polynomial fit of its neighborhood.
+def mls_resample(points: np.ndarray, radius: float) -> np.ndarray:
+    """Project each point onto a local weighted quadratic fit of its neighborhood.
 
-    Weights are Gaussian with bandwidth radius/2. Points with fewer than
-    (order+1)(order+2)/2 in-radius neighbors (the point itself included) pass
-    through unchanged. The projection reproduces any surface the polynomial can
-    represent exactly, so planar inputs are left on their plane.
+    Weights are Gaussian with bandwidth radius/2. Points with fewer than six
+    in-radius neighbors (the point itself included) pass through unchanged.
+    The projection reproduces any quadratic height field exactly, so planar
+    inputs are left on their plane.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     n = len(pts)
-    if n == 0:
-        return pts.copy()
-    exps = _DESIGN_EXPONENTS[:(order + 1) * (order + 2) // 2]
     from scipy.spatial import cKDTree
 
     pairs, counts = _radius_pairs(cKDTree(pts), radius)
-    act = np.flatnonzero(counts >= len(exps))
+    act = np.flatnonzero(counts >= len(_POW_U))
     if len(act) == 0:
         return pts.copy()
 
@@ -303,26 +289,25 @@ def mls_resample(points: np.ndarray, radius: float,
     v /= radius
     u /= radius
 
-    # per-point sums of w u^p v^q fill the Gram matrix of the weighted design,
-    # and sums of w h u^p v^q its right-hand side
-    deg = 2 * order
-    moments = np.zeros((deg + 1, deg + 1, n))
-    rhs_moments = np.zeros((order + 1, order + 1, n))
+    # per-point sums of w u^p v^q (p + q <= 4) fill the 6x6 Gram matrix of the
+    # weighted design, and sums of w h u^p v^q (p + q <= 2) its right-hand side
+    moments = np.zeros((5, 5, n))
+    rhs_moments = np.zeros((3, 3, n))
     w_up = np.concatenate([w, w, np.ones(n)])
-    for p in range(deg + 1):
+    for p in range(5):
         term = w_up.copy()
-        for q in range(deg + 1 - p):
+        for q in range(5 - p):
             moments[p, q] = np.bincount(owner, term, n)
-            if p + q <= order:
+            if p + q <= 2:
                 rhs_moments[p, q] = np.bincount(owner, term * hgt, n)
             term *= v
         w_up *= u
-    gram = moments[exps[:, 0, None] + exps[:, 0], exps[:, 1, None] + exps[:, 1]]
-    rhs = rhs_moments[exps[:, 0], exps[:, 1]]
+    gram = moments[_POW_U[:, None] + _POW_U, _POW_V[:, None] + _POW_V]
+    rhs = rhs_moments[_POW_U, _POW_V]
     coeff = _solve_gram(gram[..., act], rhs[:, act])
 
     up, vp = u[-n:][act], v[-n:][act]                    # the point in its own frame
-    fit_h = (coeff * up ** exps[:, 0, None] * vp ** exps[:, 1, None]).sum(0)
+    fit_h = (coeff * up ** _POW_U[:, None] * vp ** _POW_V[:, None]).sum(0)
     e = evecs[..., act]
     out = pts.copy()
     out[act] = (coords[:, act] + mean[:, act]

@@ -1,4 +1,4 @@
-"""Shared geometric primitives: points, organized clouds, planes, rigid transforms, Euler angles.
+"""Shared geometric primitives: points, organized clouds, planes, rigid transforms, Euler angles, kNN distances.
 
 Frame convention used everywhere: the depth sensor sits at the origin with
 x pointing right, y pointing down, z pointing forward into the scene.
@@ -197,3 +197,15 @@ def normalize_plane(raw) -> PlaneModel:
 def plane_signed_distances(plane: PlaneModel, points: np.ndarray) -> np.ndarray:
     """Signed distances a*x + b*y + c*z + d of an (n, 3) or (3,) array of points."""
     return np.asarray(points, dtype=float) @ plane.normal + plane.d
+
+
+def knn_distances(points: np.ndarray, k: int) -> np.ndarray:
+    """Ascending distances (n, k) from each of the (n, 3) points to its k nearest others."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if len(points) <= k:
+        raise ValueError(f"need more than k={k} points, got {len(points)}")
+    from scipy.spatial import cKDTree
+
+    d, _ = cKDTree(points).query(points, k=k + 1)
+    return d[:, 1:]

@@ -52,7 +52,6 @@ class PipelineConfig:
     sor_k: int = conditioning.DEFAULT_SOR_K
     sor_alpha: float = conditioning.DEFAULT_SOR_ALPHA
     mls_radius_m: float = 0.024
-    mls_order: int = conditioning.DEFAULT_MLS_ORDER
     don_radius_small_m: float = 0.016
     don_radius_large_m: float = 0.04
     don_threshold: float = conditioning.DEFAULT_DON_THRESHOLD
@@ -86,7 +85,6 @@ class PipelineConfig:
             (c.sor_k >= 1, "sor_k must be at least 1"),
             (c.sor_alpha >= 0, "sor_alpha cannot be negative"),
             (c.mls_radius_m > 0, "mls_radius_m must be positive"),
-            (c.mls_order in (1, 2), "mls_order must be 1 or 2"),
             (0 < c.don_radius_small_m < c.don_radius_large_m,
              "DoN radii must satisfy 0 < small < large"),
             (0 < c.don_threshold <= 1, "don_threshold must lie in (0, 1]"),
@@ -256,7 +254,7 @@ def _detect(config: PipelineConfig, cloud: OrganizedCloud, segment) -> Detection
         seconds["filtering"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        pts = conditioning.mls_resample(pts, config.mls_radius_m, config.mls_order)
+        pts = conditioning.mls_resample(pts, config.mls_radius_m)
         pts = conditioning.don_filter(pts, config.don_radius_small_m,
                                       config.don_radius_large_m, config.don_threshold)
         seconds["resampling_don"] += time.perf_counter() - t0

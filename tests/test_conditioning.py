@@ -115,7 +115,7 @@ class TestStatisticalOutlierRemoval:
 class TestMlsResample:
     def test_plane_is_reproduced(self):
         pts = planar_grid(8, 8, 0.01, z=0.05)
-        out = mls_resample(pts, radius=0.03, order=2)
+        out = mls_resample(pts, radius=0.03)
         assert np.abs(out[:, 2] - 0.05).max() < 1e-9
         assert np.abs(out - pts).max() < 1e-9
 
@@ -123,7 +123,7 @@ class TestMlsResample:
         pts = planar_grid(13, 13, 0.005)
         idx = 84  # center point, ~75 neighbors within the radius
         pts[idx, 2] += 0.005
-        out = mls_resample(pts, radius=0.025, order=2)
+        out = mls_resample(pts, radius=0.025)
         assert abs(out[idx, 2]) < 0.001
 
     def test_perturbed_point_against_direct_fit(self):
@@ -132,7 +132,7 @@ class TestMlsResample:
         idx = 40
         pts[idx, 2] += 0.005
         radius = 0.025
-        out = mls_resample(pts, radius=radius, order=2)
+        out = mls_resample(pts, radius=radius)
 
         d = np.linalg.norm(pts - pts[idx], axis=1)
         nb = pts[d <= radius]
@@ -152,14 +152,15 @@ class TestMlsResample:
 
     def test_isolated_point_unchanged(self):
         pts = np.vstack([planar_grid(5, 5, 0.01), [[1.0, 1.0, 1.0]]])
-        out = mls_resample(pts, radius=0.02, order=2)
+        out = mls_resample(pts, radius=0.02)
         assert np.array_equal(out[-1], [1.0, 1.0, 1.0])
+
+    def test_empty_input(self):
+        assert mls_resample(np.zeros((0, 3)), radius=0.02).shape == (0, 3)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             mls_resample(np.zeros((4, 3)), radius=-1)
-        with pytest.raises(ValueError):
-            mls_resample(np.zeros((4, 3)), radius=0.1, order=3)
 
 
 class TestEstimateNormal:
@@ -422,15 +423,15 @@ def pair_input(kind, rng):
 KINDS = ["noisy_patch", "lattice", "duplicates", "collinear", "edge_on"]
 
 
-def design_singular_ratio(pts, i, radius, order):
-    """Smallest over largest singular value of the weighted polynomial design
+def design_singular_ratio(pts, i, radius):
+    """Smallest over largest singular value of the weighted quadratic design
     that the padded reference fits at point i."""
     nb = pts[brute_radius(pts, pts[i], radius)]
     w = np.exp(-((nb - pts[i]) ** 2).sum(1) / (2 * (radius / 2) ** 2))
     rel = nb - (nb * w[:, None]).sum(0) / w.sum()
     _, evecs = np.linalg.eigh(np.einsum("ki,k,kj->ij", rel, w, rel))
     uv = rel @ evecs[:, [2, 1]] / radius
-    design = oracles.polynomial_design(uv[:, 0], uv[:, 1], order) * np.sqrt(w)[:, None]
+    design = oracles.polynomial_design(uv[:, 0], uv[:, 1], 2) * np.sqrt(w)[:, None]
     s = np.linalg.svd(design, compute_uv=False)
     return s[-1] / s[0]
 
@@ -439,18 +440,17 @@ class TestAgainstPaddedReference:
     """Pair-moment MLS and normals against the padded-block references."""
 
     @settings(max_examples=300, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(KINDS),
-           order=st.sampled_from([1, 2]))
-    def test_mls_matches_reference(self, seed, kind, order):
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(KINDS))
+    def test_mls_matches_reference(self, seed, kind):
         # Equal to rounding wherever the fit is well conditioned or singular to
         # working precision. A nearly singular design (a few neighbors close to
         # a conic) is solved through its Gram matrix, which squares the
         # condition number, so only those points are exempt.
         pts, radius = pair_input(kind, np.random.default_rng(seed))
-        diff = np.abs(mls_resample(pts, radius, order)
-                      - oracles.padded_mls_resample(pts, radius, order)).max(1)
+        diff = np.abs(mls_resample(pts, radius)
+                      - oracles.padded_mls_resample(pts, radius, 2)).max(1)
         for i in np.flatnonzero(diff > 1e-12):
-            assert 1e-14 < design_singular_ratio(pts, i, radius, order) < 1e-4
+            assert 1e-14 < design_singular_ratio(pts, i, radius) < 1e-4
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(KINDS + ["lattice3d"]))
@@ -703,7 +703,7 @@ def test_benchmark_like_frame_stays_off_lapack():
             pts = map_mask_to_cloud(mask, config.homography, cloud).points
             pts = voxel_grid_downsample(pts, config.voxel_leaf_m)
             pts = statistical_outlier_removal(pts, config.sor_k, config.sor_alpha)
-            pts = mls_resample(pts, config.mls_radius_m, config.mls_order)
+            pts = mls_resample(pts, config.mls_radius_m)
             field = compute_normal_field(pts, config.don_radius_small_m,
                                          config.don_radius_large_m)
             assert field.defined.mean() > 0.9

@@ -1,10 +1,12 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -73,16 +75,22 @@ class TestConfig:
             config_from_dict({"voxel_leaf_m": -1})
         with pytest.raises(ConfigError):
             config_from_dict({"don_radius_small_m": 0.05, "don_radius_large_m": 0.01})
-        with pytest.raises(ConfigError):
-            config_from_dict({"mls_order": 3})
 
-    @pytest.mark.parametrize("key", ["sor_k", "mls_order", "min_cluster_size",
-                                     "min_samples", "min_object_size",
-                                     "ransac_iterations", "seed"])
+    @pytest.mark.parametrize("key", ["sor_k", "min_cluster_size", "min_samples",
+                                     "min_object_size", "ransac_iterations", "seed"])
     @pytest.mark.parametrize("value", [True, False, 2.5, 30.0, "30"])
     def test_integer_fields_reject_other_types(self, key, value):
         with pytest.raises(ConfigError, match=key):
             config_from_dict({key: value})
+
+    def test_readme_table_lists_every_field(self):
+        # The keys a config file takes, as README's configuration table names them.
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("\n## Configuration\n")[1].split("\n## ")[0]
+        keys = {key for line in section.splitlines() if line.startswith("| `")
+                for key in re.findall(r"`(\w+)`", line.split("|")[1])}
+        names = {f.name for f in fields(PipelineConfig)}
+        assert keys == (names - {"homography"}) | {"rgb_to_depth_homography"}
 
     def test_integer_fields_accept_integers(self):
         cfg = config_from_dict({"sor_k": 8, "min_samples": None, "seed": 7,
@@ -669,6 +677,18 @@ class TestCli:
         assert out.returncode == 3, out.stderr
         assert "denominator" in out.stderr
         assert "Traceback" not in out.stderr and "Warning" not in out.stderr
+
+    def test_mls_order_is_an_unknown_key(self, workdir, tmp_path):
+        # MLS fits one quadratic; no key selects the plane-only fit
+        with pytest.raises(ConfigError, match="unknown config keys.*mls_order"):
+            config_from_dict({"mls_order": 2})
+        config = json.loads((workdir / "config.json").read_text())
+        write_json(tmp_path / "config.json", {**config, "mls_order": 2})
+        out = run_cli("pipeline", str(workdir / "data" / "image.pgm"),
+                      str(workdir / "data" / "cloud.ply"),
+                      "--config", str(tmp_path / "config.json"))
+        assert out.returncode == 3, out.stderr
+        assert "mls_order" in out.stderr
 
     def test_subnormal_voxel_leaf_is_config_error(self, workdir):
         # 1.1 m over 5e-324 overflows, so no voxel key is finite
