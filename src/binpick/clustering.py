@@ -1,15 +1,15 @@
 """Density-based clustering used to separate objects before plane fitting.
 
 Hierarchical DBSCAN over mutual-reachability distances: each point's core
-distance (k-th nearest neighbor) inflates pairwise distances, an exact minimum
-spanning tree of the resulting graph is condensed by minimum cluster size, and
-maximally stable clusters are selected bottom-up. Two parallel faces at
-different heights land in different clusters, so a single plane is never fit
-across separated surfaces.
+distance (k-th nearest neighbor) inflates pairwise distances, the order in
+which Prim's algorithm visits the resulting graph, with each vertex's joining
+weight, is condensed by minimum cluster size, and maximally stable clusters
+are selected bottom-up. Two parallel faces at different heights land in
+different clusters, so a single plane is never fit across separated surfaces.
 
-Everything is deterministic for a given point order: MST ties break toward
-the lowest point index, and equal-weight merges follow the MST's discovery
-order. The partition can depend on that order where weights tie.
+Everything is deterministic for a given point order: Prim's ties break toward
+the lowest point index, and equal-weight merges follow Prim's visiting order.
+The partition can depend on that order where weights tie.
 """
 
 from __future__ import annotations
@@ -77,49 +77,47 @@ def core_distances(points: np.ndarray, k: int) -> np.ndarray:
 
 def mutual_reachability_mst(points: np.ndarray, min_samples: int
                             ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact MST of the complete mutual-reachability graph.
+    """Exact MST of the complete mutual-reachability graph, as Prim's visiting
+    order and joining weights.
 
     d_mreach(a, b) = max(core(a), core(b), |a - b|). Prim's algorithm with the
     row of the newly added vertex computed on the fly, over only the vertices
     that can still improve; argmin tie-breaks pick the lowest point index.
-    Returns (edges (n-1, 2), weights (n-1,)).
+    Returns (order (n,), weights (n-1,)): order[0] = 0, order lists the
+    vertices as they join the tree, and order[k] joins at weights[k-1].
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     n = len(pts)
     all_core = core_distances(pts, min_samples)
     all_coords = np.ascontiguousarray(pts.T)
-    # The active vertices, ascending: index, coordinates, core distance, the
-    # lightest edge to the tree and that edge's tree end. A vertex joining
-    # from here has its core distance and edge retired to inf, so it never
-    # wins or updates again, and once a quarter of the arrays are retired
-    # they are compacted.
+    # The active vertices, ascending: index, coordinates, core distance and
+    # the lightest edge to the tree. A vertex joining from here has its core
+    # distance and edge retired to inf, so it never wins or updates again,
+    # and once a quarter of the arrays are retired they are compacted.
     live, coords, core = np.arange(n), all_coords, all_core.copy()
     best = np.full(n, np.inf)
-    src = np.zeros(n, dtype=np.int64)
-    diff_buf, row_buf, upd_buf = np.empty(3 * n), np.empty(n), np.empty(n, dtype=bool)
-    diff, row, upd = diff_buf.reshape(3, n), row_buf, upd_buf
+    diff_buf, row_buf = np.empty(3 * n), np.empty(n)
+    diff, row = diff_buf.reshape(3, n), row_buf
     core[0] = np.inf
     retired = [0]
     # No row can weigh less than a vertex's own core distance, so a vertex
     # whose edge weighs that is settled: compaction moves it to this heap of
-    # (weight, vertex, tree end), which competes with the active argmin.
+    # (weight, vertex), which competes with the active argmin.
     settled = []
 
-    edges = np.empty((n - 1, 2), dtype=np.int64)
-    weights = np.empty(n - 1)
+    order, weights = np.zeros(n, dtype=np.int64), np.empty(n - 1)
     j = 0
-    for step in range(n - 1):
+    for k in range(1, n):
         if retired and 4 * len(retired) >= len(live):
             keep = np.ones(len(live), dtype=bool)
             keep[retired] = False
             done = keep & (best == core)
-            for entry in zip(best[done].tolist(), live[done].tolist(), src[done].tolist()):
+            for entry in zip(best[done].tolist(), live[done].tolist()):
                 heapq.heappush(settled, entry)
             keep &= ~done
-            live, coords, core, best, src = (live[keep], coords[:, keep], core[keep],
-                                             best[keep], src[keep])
+            live, coords, core, best = live[keep], coords[:, keep], core[keep], best[keep]
             m = len(live)
-            diff, row, upd = diff_buf[:3 * m].reshape(3, m), row_buf[:m], upd_buf[:m]
+            diff, row = diff_buf[:3 * m].reshape(3, m), row_buf[:m]
             retired = []
         np.subtract(coords, all_coords[:, j:j + 1], out=diff)
         np.square(diff, out=diff)
@@ -127,77 +125,68 @@ def mutual_reachability_mst(points: np.ndarray, min_samples: int
         np.sqrt(row, out=row)
         np.maximum(row, core, out=row)
         np.maximum(row, all_core[j], out=row)
-        np.less(row, best, out=upd)
         np.minimum(row, best, out=best)
-        np.putmask(src, upd, j)
         at = int(best.argmin()) if len(best) else -1
-        if settled and (at < 0 or settled[0][:2] < (best[at], live[at])):
-            weights[step], j, edges[step, 0] = heapq.heappop(settled)
+        if settled and (at < 0 or settled[0] < (best[at], live[at])):
+            weights[k - 1], j = heapq.heappop(settled)
         else:
-            weights[step], j, edges[step, 0] = best[at], live[at], src[at]
+            weights[k - 1], j = best[at], live[at]
             core[at] = best[at] = np.inf
             retired.append(at)
-        edges[step, 1] = j
-    return edges, weights
+        order[k] = j
+    return order, weights
 
 
-def _condense(edges: np.ndarray, weights: np.ndarray, n: int,
+def _condense(order: np.ndarray, weights: np.ndarray, n: int,
               min_cluster_size: int) -> CondensedTree:
     """Condensed tree of clusters of at least min_cluster_size points, from
-    one union-find pass over the MST edges.
+    Prim's visiting order and joining weights.
 
-    Edges merge in ascending weight, ties in Prim's discovery order. A small
-    component keeps its members; when it joins a large one, its points fall
-    out of that one's cluster at the merge density. A component that reaches
-    the size opens a cluster, as does the last merge, so the root exists at
-    any size. When two large components merge, their clusters end and become
-    the children of the cluster the merge opens.
+    Merges replay in ascending weight, ties in visiting order. Prim visits
+    each component of the edges up to any weight in one unbroken stretch of
+    its order, so every component is a run of positions, and merge k joins
+    the run that ends at position k-1 with the run that starts at k. A small
+    run's points fall out of the large run's cluster at the merge density. A
+    run that reaches the size opens a cluster, as does the last merge, so
+    the root exists at any size. When two large runs merge, their clusters
+    end and become the children of the cluster the merge opens.
     """
-    order = np.argsort(weights, kind="stable")
-    distances = weights[order]
+    merges = np.argsort(weights, kind="stable")
+    distances = weights[merges]
     lam = np.where(distances > _MIN_DISTANCE, 1.0 / np.maximum(distances, _MIN_DISTANCE),
                    1.0 / _MIN_DISTANCE).tolist()
-    uf_parent = list(range(n))
-    comp_size = [1] * n
-    members = [[p] for p in range(n)]  # read only while the component is small
-    comp_cluster = [-1] * n  # the open cluster of a large component
-    point_cluster = [0] * n
-    point_lambda = [0.0] * n
+    # the other end of the run a position starts or ends; interior entries
+    # go stale and are never read again
+    other_end = list(range(n))
+    comp_cluster = [-1] * n  # the open cluster of a large run, by its start
+    pos_cluster = [0] * n  # by position in the order
+    pos_lambda = [0.0] * n
     # [children, density and size at the merge that ends it] per cluster, in
     # opening order; the root never ends and keeps 0.0 and n
     clusters = []
 
     # the last merge reaches n points, so it opens the root at any size
     opening_size = min(min_cluster_size, n)
-    for (a, b), lv in zip(edges[order].tolist(), lam):
-        while uf_parent[a] != a:
-            uf_parent[a] = uf_parent[uf_parent[a]]
-            a = uf_parent[a]
-        while uf_parent[b] != b:
-            uf_parent[b] = uf_parent[uf_parent[b]]
-            b = uf_parent[b]
-        sa, sb = comp_size[a], comp_size[b]
+    for k, lv in zip((merges + 1).tolist(), lam):
+        a, e = other_end[k - 1], other_end[k]
+        sa, sb = k - a, e + 1 - k
         large_a, large_b = sa >= min_cluster_size, sb >= min_cluster_size
-        uf_parent[b] = a
-        comp_size[a] = sa + sb
+        other_end[a], other_end[e] = e, a
         if large_a and large_b:
-            for child, child_size in ((comp_cluster[a], sa), (comp_cluster[b], sb)):
+            for child, child_size in ((comp_cluster[a], sa), (comp_cluster[k], sb)):
                 clusters[child][1:] = lv, child_size
-            clusters.append([(comp_cluster[a], comp_cluster[b]), 0.0, n])
+            clusters.append([(comp_cluster[a], comp_cluster[k]), 0.0, n])
             comp_cluster[a] = len(clusters) - 1
         elif sa + sb >= opening_size:
             if large_b:
-                comp_cluster[a] = comp_cluster[b]
+                comp_cluster[a] = comp_cluster[k]
             elif not large_a:
                 clusters.append([(), 0.0, n])
                 comp_cluster[a] = len(clusters) - 1
-            for side, large in ((a, large_a), (b, large_b)):
+            for start, stop, large in ((a, k, large_a), (k, e + 1, large_b)):
                 if not large:
-                    for p in members[side]:
-                        point_cluster[p] = comp_cluster[a]
-                        point_lambda[p] = lv
-        else:
-            members[a] += members[b]
+                    pos_cluster[start:stop] = [comp_cluster[a]] * (stop - start)
+                    pos_lambda[start:stop] = [lv] * (stop - start)
 
     # Number the clusters as a walk down from the root, the last one opened,
     # does: a split's two children one after the other, then the second
@@ -217,9 +206,12 @@ def _condense(edges: np.ndarray, weights: np.ndarray, n: int,
     # Stability: each point contributes the density span it stayed a member
     # (summed in point order), then each child the span its points stayed in
     # the parent (in ascending child id).
-    point_cluster = np.array(ids, dtype=np.int64)[point_cluster]
+    point_cluster = np.empty(n, dtype=np.int64)
+    point_cluster[order] = np.array(ids, dtype=np.int64)[pos_cluster]
+    point_lambda = np.empty(n)
+    point_lambda[order] = pos_lambda
     births = np.array(lambda_birth)
-    stability = np.bincount(point_cluster, np.array(point_lambda) - births[point_cluster],
+    stability = np.bincount(point_cluster, point_lambda - births[point_cluster],
                             minlength=len(parent)).tolist()
     for c in range(1, len(parent)):
         stability[parent[c]] += size[c] * (lambda_birth[c] - lambda_birth[parent[c]])
@@ -268,7 +260,8 @@ def _select_clusters(parent: list[int], stability: list[float]
 
 def condensed_tree(points: np.ndarray, min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE,
                    min_samples: Optional[int] = None) -> CondensedTree:
-    """Condensed cluster hierarchy with stability scores and selected clusters."""
+    """Condensed cluster hierarchy with stability scores and selected clusters,
+    from Prim's visiting order over mutual-reachability distances."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if min_cluster_size < 2:
         raise ValueError("min_cluster_size must be at least 2")
@@ -277,8 +270,8 @@ def condensed_tree(points: np.ndarray, min_cluster_size: int = DEFAULT_MIN_CLUST
         min_samples = min_cluster_size
     min_samples = min(min_samples, n - 1)
 
-    edges, weights = mutual_reachability_mst(pts, min_samples)
-    return _condense(edges, weights, n, min_cluster_size)
+    order, weights = mutual_reachability_mst(pts, min_samples)
+    return _condense(order, weights, n, min_cluster_size)
 
 
 def hdbscan(points: np.ndarray, min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE,

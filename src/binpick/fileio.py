@@ -47,18 +47,22 @@ def _read_netpbm_header(data: bytes) -> tuple[list[int], int]:
 
 
 def read_image(path) -> GrayImage:
-    """Read a P5 PGM or P6 PPM (converted to luma)."""
+    """Read a P5 PGM or P6 PPM (converted to luma), samples scaled to 0..255."""
     data = _read_file(path)
     channels = {b"P5": 1, b"P6": 3}.get(data[:2])
     if channels is None:
         raise InputError(f"{path}: not a P5/P6 netpbm file")
     (w, h, maxval), offset = _read_netpbm_header(data)
-    if maxval > 255:
-        raise InputError(f"{path}: only 8-bit netpbm is supported")
+    if not 0 < maxval <= 255:
+        raise InputError(f"{path}: netpbm maxval {maxval} is not in 1..255")
     body = data[offset:offset + w * h * channels]
     if len(body) != w * h * channels:
         raise InputError(f"{path}: pixel data truncated")
     raw = np.frombuffer(body, dtype=np.uint8)
+    if maxval < 255:
+        if raw.max(initial=0) > maxval:
+            raise InputError(f"{path}: a sample exceeds the netpbm maxval {maxval}")
+        raw = ((raw.astype(np.int32) * 255 + maxval // 2) // maxval).astype(np.uint8)
     if channels == 1:
         return GrayImage(raw.reshape(h, w).copy())
     rgb = raw.reshape(h, w, 3).astype(np.float64)
@@ -149,8 +153,10 @@ def read_ply_organized(path) -> OrganizedCloud:
         arr = np.array(rows, dtype=float)
     except ValueError as exc:
         raise InputError(f"bad PLY vertex data: {exc}") from exc
+    if not np.isin(arr[:, 3], (0, 1)).all():
+        raise InputError("bad PLY vertex data: valid must be 0 or 1")
     pts = arr[:, :3].reshape(height, width, 3)
-    val = arr[:, 3].astype(bool).reshape(height, width)
+    val = (arr[:, 3] == 1).reshape(height, width)
     pts = np.where(val[..., None], pts, 0.0)
     try:
         return OrganizedCloud(points=pts, valid=val)

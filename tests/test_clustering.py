@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,12 +67,13 @@ class TestMutualReachabilityMst:
         assert (m >= d - 1e-12).all()
         assert np.allclose(m, m.T)
 
-    def test_edges_span_all_points(self):
+    def test_order_visits_every_point_once(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(size=(30, 3))
-        edges, _ = mutual_reachability_mst(pts, 3)
-        assert len(edges) == 29
-        assert set(edges.ravel().tolist()) == set(range(30))
+        order, weights = mutual_reachability_mst(pts, 3)
+        assert np.array_equal(np.sort(order), np.arange(30))
+        assert order[0] == 0
+        assert len(weights) == 29
 
 
 class TestHdbscan:
@@ -223,18 +226,37 @@ def assert_tree_matches(tree, nodes, point_cluster, selected):
     assert tree.selected.tolist() == selected
 
 
+def assert_prim_matches(pts, k):
+    """Visiting order and joining weights equal the per-step reference's
+    joined vertices (after vertex 0) and edge weights."""
+    order, weights = mutual_reachability_mst(pts, k)
+    ref_edges, ref_weights = oracles.prim_mst(pts, core_distances(pts, k))
+    assert np.array_equal(order, [0] + ref_edges[:, 1].tolist())
+    assert np.array_equal(weights, ref_weights)
+
+
+def assert_clusters_are_runs(tree, order):
+    """The points of every condensed cluster, descendants included, are one
+    contiguous run of the visiting order."""
+    position = np.argsort(order)
+    k = len(tree.parent)
+    for c in range(k):
+        inside = np.zeros(k, dtype=bool)
+        inside[c] = True
+        for d in range(c + 1, k):  # children are numbered after their parent
+            inside[d] = inside[tree.parent[d]]
+        at = np.sort(position[inside[tree.point_cluster]])
+        assert at[-1] - at[0] + 1 == len(at)
+
+
 class TestAgainstStepReference:
-    """Prim over retired core distances and the one union-find pass give
-    exactly the per-step reference's edges, weights and labels."""
+    """Prim over retired core distances and the condensation over runs of its
+    order give exactly the per-step reference's order, weights and labels."""
 
     @settings(max_examples=150, deadline=None)
     @given(pts=tie_heavy_points(), data=st.data())
     def test_mst_edges_and_weights(self, pts, data):
-        k = data.draw(st.integers(1, min(10, len(pts) - 1)))
-        edges, weights = mutual_reachability_mst(pts, k)
-        ref_edges, ref_weights = oracles.prim_mst(pts, core_distances(pts, k))
-        assert np.array_equal(edges, ref_edges)
-        assert np.array_equal(weights, ref_weights)
+        assert_prim_matches(pts, data.draw(st.integers(1, min(10, len(pts) - 1))))
 
     @settings(max_examples=60, deadline=None)
     @given(pts=tie_heavy_points(), data=st.data())
@@ -251,10 +273,7 @@ class TestAgainstStepReference:
         grid = np.indices((7, 7, 7)).reshape(3, -1).T * 0.004
         pts = np.vstack([grid, grid[rng.choice(len(grid), 40, replace=False)]])
         pts = pts[rng.permutation(len(pts))]
-        edges, weights = mutual_reachability_mst(pts, k)
-        ref_edges, ref_weights = oracles.prim_mst(pts, core_distances(pts, k))
-        assert np.array_equal(edges, ref_edges)
-        assert np.array_equal(weights, ref_weights)
+        assert_prim_matches(pts, k)
 
     def test_duplicate_blocks_and_spread_points(self):
         # 40 and 35 coincident points have zero core distance: their merge
@@ -271,9 +290,9 @@ class TestAgainstStepReference:
 
 
 class TestAgainstNodeReference:
-    """The one union-find pass, its numbering walk and two linear passes give
-    exactly the node-dict condensation of the reference's dendrogram and its
-    stack-walk selection."""
+    """The condensation over runs, its numbering walk and two linear passes
+    give exactly the node-dict condensation of the reference's dendrogram and
+    its stack-walk selection."""
 
     @settings(max_examples=150, deadline=None)
     @given(pts=tie_heavy_points(), data=st.data())
@@ -281,12 +300,14 @@ class TestAgainstNodeReference:
         min_cluster_size = data.draw(st.integers(2, 15))
         min_samples = data.draw(st.one_of(st.none(), st.integers(1, 15)))
         k = min(min_samples or min_cluster_size, len(pts) - 1)
-        dendrogram = oracles.single_linkage(*mutual_reachability_mst(pts, k), len(pts))
+        dendrogram = oracles.single_linkage(*oracles.prim_mst(pts, core_distances(pts, k)),
+                                            len(pts))
         nodes, point_cluster = oracles.condense_nodes(*dendrogram, len(pts), min_cluster_size)
         selected, labels = oracles.select_nodes(nodes, point_cluster)
 
-        assert_tree_matches(condensed_tree(pts, min_cluster_size, min_samples),
-                            nodes, point_cluster, selected)
+        tree = condensed_tree(pts, min_cluster_size, min_samples)
+        assert_tree_matches(tree, nodes, point_cluster, selected)
+        assert_clusters_are_runs(tree, mutual_reachability_mst(pts, k)[0])
         if len(pts) >= min_cluster_size:
             assert np.array_equal(hdbscan(pts, min_cluster_size, min_samples).labels, labels)
 
@@ -314,3 +335,16 @@ class TestAtBenchmarkSize:
         assert np.array_equal(hdbscan(pts, min_cluster_size).labels, labels)
         faces = labels.reshape(3, per_face)
         assert (faces == faces[:, :1]).all() and sorted(faces[:, 0]) == [0, 1, 2]
+
+    def test_memory_stays_linear(self):
+        # 2,100 points take about 1 MiB; a condensed pairwise distance matrix
+        # alone would take 16.8 MiB.
+        pts = three_faces(np.random.default_rng(700), 700)
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            hdbscan(pts, 30)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"hdbscan peak {peak / 2**20:.2f} MiB"

@@ -509,6 +509,28 @@ class TestFileFormats:
         with pytest.raises(InputError):
             read_ply_organized(path)
 
+    def test_maxval_1_mask_scales_to_255(self, tmp_path):
+        path = tmp_path / "mask_parent.pgm"
+        path.write_bytes(b"P5 4 2 1\n" + bytes([0, 1, 1, 0, 1, 1, 0, 0]))
+        assert read_image(path).pixels.tolist() == [[0, 255, 255, 0], [255, 255, 0, 0]]
+        assert read_mask_pgm(path, "parent").bits.sum() == 4
+
+    def test_ppm_maxval_scales_before_luma(self, tmp_path):
+        path = tmp_path / "img.ppm"
+        path.write_bytes(b"P6\n2 1\n3\n" + bytes([3, 3, 3, 1, 2, 0]))
+        # 1, 2, 0 of 3 scale to 85, 170, 0 (rounded), then 0.299/0.587/0.114
+        assert read_image(path).pixels.tolist() == [[255, round(0.299 * 85 + 0.587 * 170)]]
+
+    @pytest.mark.parametrize("valid", ["0.5", "-3", "nan", "2"])
+    def test_ply_valid_other_than_0_or_1_rejected(self, tmp_path, valid):
+        path = tmp_path / "bad.ply"
+        path.write_text("\n".join([
+            "ply", "format ascii 1.0", "comment organized 1 1", "element vertex 1",
+            "property float x", "property float y", "property float z",
+            "property uchar valid", "end_header", f"0 0 1 {valid}"]) + "\n")
+        with pytest.raises(InputError, match="valid must be 0 or 1"):
+            read_ply_organized(path)
+
     def test_truth_roundtrip(self):
         scene = SceneSpec(boxes=(make_box((120, 100, 60), (5, -5, 30)),),
                           rgb_resolution=(448, 344))
@@ -728,6 +750,33 @@ class TestCli:
                           "--config", str(workdir / "roi_config.json"))
             assert out.returncode == 3, (roi, out.stderr)
             assert "roi must be four integers" in out.stderr
+
+    @pytest.mark.parametrize("maxval, sample", [(0, 0), (100, 200)],
+                             ids=["maxval-0", "sample-above-maxval"])
+    def test_bad_pgm_maxval_is_input_error(self, workdir, tmp_path, maxval, sample):
+        path = tmp_path / "mask_parent.pgm"
+        path.write_bytes(f"P5\n4 4\n{maxval}\n".encode() + bytes([sample] * 16))
+        for args in (("segment", str(path), "--out", str(tmp_path / "masks")),
+                     ("localize", str(workdir / "data" / "cloud.ply"), str(path))):
+            out = run_cli(*args, "--config", str(workdir / "config.json"))
+            assert out.returncode == 2, (args[0], out.stderr)
+            assert "maxval" in out.stderr
+
+    def test_maxval_1_mask_localizes_the_box(self, workdir, tmp_path):
+        out = run_cli("segment", str(workdir / "data" / "image.pgm"),
+                      "--config", str(workdir / "config.json"),
+                      "--phase", "parent", "--out", str(tmp_path / "masks"))
+        assert out.returncode == 0, out.stderr
+        (mask,) = (tmp_path / "masks").glob("mask_*.pgm")
+        bits = read_mask_pgm(mask, "parent").bits
+        path = tmp_path / "mask_parent.pgm"
+        path.write_bytes(f"P5\n{bits.shape[1]} {bits.shape[0]}\n1\n".encode()
+                         + bits.astype(np.uint8).tobytes())
+        out = run_cli("localize", str(workdir / "data" / "cloud.ply"), str(path),
+                      "--config", str(workdir / "config.json"),
+                      "--out", str(tmp_path / "loc.json"))
+        assert out.returncode == 0, out.stderr
+        assert len(json.loads((tmp_path / "loc.json").read_text())["poses"]) == 1
 
     def test_image_under_3x3_is_input_error(self, workdir):
         (workdir / "tiny.pgm").write_bytes(b"P5\n2 2\n255\nabcd")
