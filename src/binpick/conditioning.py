@@ -26,25 +26,21 @@ DEFAULT_SOR_K = 8
 DEFAULT_SOR_ALPHA = 1.0
 DEFAULT_DON_THRESHOLD = 0.25
 
-_SENSOR_ORIGIN = np.zeros(3)
-
 
 @dataclass(frozen=True)
 class NormalField:
     """Per-point unit normals at two support radii and their halved difference.
 
-    ``n_small`` faces the viewpoint and ``n_large`` takes the sign that agrees
-    with ``n_small``. ``defined`` marks points with a valid normal at both
-    radii; undefined rows hold zeros. ``don`` has norm in [0, 1] everywhere it
-    is defined.
+    ``n_large`` takes the sign that agrees with ``n_small``, so the norm of
+    ``don`` does not depend on either sign. ``defined`` marks points with a
+    valid normal at both radii; undefined rows hold zeros. ``don`` has norm in
+    [0, 1] everywhere it is defined.
     """
 
     n_small: np.ndarray
     n_large: np.ndarray
     don: np.ndarray
     defined: np.ndarray
-    r_small: float
-    r_large: float
 
 
 def voxel_grid_downsample(points: np.ndarray, leaf: float) -> np.ndarray:
@@ -317,9 +313,9 @@ def mls_resample(points: np.ndarray, radius: float) -> np.ndarray:
     return out
 
 
-def _batched_normals(points: np.ndarray, tree: cKDTree, radius: float,
-                     viewpoint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized radius-PCA normals for every point; returns (normals, defined)."""
+def _batched_normals(points: np.ndarray, tree: cKDTree,
+                     radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Radius-PCA normals, of either sign, for every point; returns (normals, defined)."""
     pairs, counts = _radius_pairs(tree, radius)
     first, second = pairs.T.copy()
     coords = np.ascontiguousarray(points.T)
@@ -329,53 +325,45 @@ def _batched_normals(points: np.ndarray, tree: cKDTree, radius: float,
     evals, evecs = _eigh3(cov[:, rows])
     ok = (evals[2] > 0) & (evals[1] > _FLAT_RATIO * evals[2])
     rows = rows[ok]
-    nrm = evecs[0][:, ok]
-    nrm[:, (nrm * (viewpoint[:, None] - coords[:, rows])).sum(0) < 0] *= -1.0
 
     normals = np.zeros((len(points), 3))
-    normals[rows] = nrm.T
+    normals[rows] = evecs[0][:, ok].T
     defined = np.zeros(len(points), dtype=bool)
     defined[rows] = True
     return normals, defined
 
 
-def compute_normal_field(points: np.ndarray, r_small: float, r_large: float,
-                         viewpoint=_SENSOR_ORIGIN) -> NormalField:
+def compute_normal_field(points: np.ndarray, r_small: float, r_large: float) -> NormalField:
     """Normals at both support radii plus their halved difference per point.
 
-    The small-radius normal is oriented toward the viewpoint and the
-    large-radius normal takes the sign that agrees with it, so the difference
-    norm reflects geometry, not sign ambiguity. A surface seen edge-on, whose
-    normals are nearly perpendicular to the view ray, keeps its norms when the
-    viewpoint moves.
+    The large-radius normal takes the sign that agrees with the small-radius
+    one, so the difference norm reflects geometry, not the sign either
+    eigenvector came with.
     """
     if not 0 < r_small < r_large:
         raise ValueError("radii must satisfy 0 < r_small < r_large")
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    view = np.asarray(viewpoint, dtype=float).reshape(3)
     from scipy.spatial import cKDTree
 
     tree = cKDTree(pts)
-    n_s, def_s = _batched_normals(pts, tree, r_small, view)
-    n_l, def_l = _batched_normals(pts, tree, r_large, view)
+    n_s, def_s = _batched_normals(pts, tree, r_small)
+    n_l, def_l = _batched_normals(pts, tree, r_large)
     n_l[np.einsum("mi,mi->m", n_s, n_l) < 0] *= -1.0
     defined = def_s & def_l
     don = np.zeros_like(n_s)
     don[defined] = (n_s[defined] - n_l[defined]) / 2.0
-    return NormalField(n_small=n_s, n_large=n_l, don=don, defined=defined,
-                       r_small=r_small, r_large=r_large)
+    return NormalField(n_small=n_s, n_large=n_l, don=don, defined=defined)
 
 
 def don_filter(points: np.ndarray, r_small: float, r_large: float,
-               threshold: float = DEFAULT_DON_THRESHOLD,
-               viewpoint=_SENSOR_ORIGIN) -> np.ndarray:
+               threshold: float = DEFAULT_DON_THRESHOLD) -> np.ndarray:
     """Keep points whose difference-of-normals norm is below the threshold.
 
     Points without a defined normal at either radius are dropped; on flat
     interiors both normals agree and the norm is near zero, while edge and
     corner points see different normals at the two scales and exceed it.
     """
-    field = compute_normal_field(points, r_small, r_large, viewpoint)
+    field = compute_normal_field(points, r_small, r_large)
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     norms = np.linalg.norm(field.don, axis=1)
     keep = field.defined & (norms < threshold)

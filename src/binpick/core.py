@@ -81,10 +81,6 @@ class OrganizedCloud:
     def height(self) -> int:
         return self.points.shape[0]
 
-    def valid_points(self) -> np.ndarray:
-        """All valid points as an (n, 3) array, row-major grid order."""
-        return self.points[self.valid]
-
 
 @dataclass(frozen=True)
 class PlaneModel:
@@ -110,9 +106,6 @@ class PlaneModel:
     def normal(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c], dtype=float)
 
-    def coefficients(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c, self.d], dtype=float)
-
 
 @dataclass(frozen=True)
 class RigidTransform:
@@ -131,10 +124,6 @@ class RigidTransform:
             raise ValueError("rotation must have determinant +1")
         object.__setattr__(self, "rotation", r)
 
-    @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), Point3(0.0, 0.0, 0.0))
-
     def translation_array(self) -> np.ndarray:
         return self.translation.as_array()
 
@@ -142,12 +131,6 @@ class RigidTransform:
         """Transform an (n, 3) or (3,) array of points."""
         pts = np.asarray(points, dtype=float)
         return pts @ self.rotation.T + self.translation_array()
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """self after other: (self * other)(p) = self(other(p))."""
-        r = self.rotation @ other.rotation
-        t = self.apply_array(other.translation_array())
-        return RigidTransform(r, Point3.from_array(t))
 
     def inverse(self) -> "RigidTransform":
         r = self.rotation.T

@@ -39,11 +39,6 @@ class Homography:
             raise ValueError("homography must be invertible")
         object.__setattr__(self, "h", h)
 
-    def map_points(self, xy: np.ndarray) -> np.ndarray:
-        """Map (n, 2) pixel coordinates through the homography."""
-        pts = np.asarray(xy, dtype=float).reshape(-1, 2)
-        return np.column_stack(self._map_columns(pts[:, 0], pts[:, 1]))
-
     def _map_columns(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Depth-pixel columns u and v of pixel columns x and y: the first two
         rows' affine forms in (x, y), each divided by the third row's."""

@@ -143,18 +143,6 @@ def config_from_dict(data: dict) -> PipelineConfig:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
-def config_to_dict(config: PipelineConfig) -> dict:
-    out = {}
-    for f in dataclass_fields(PipelineConfig):
-        if f.name == "homography":
-            continue
-        value = getattr(config, f.name)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
-    if config.homography is not None:
-        out[HOMOGRAPHY_JSON_KEY] = config.homography.to_flat_list()
-    return out
-
-
 @dataclass
 class DetectionReport:
     """Poses (children first), per-stage seconds, and stage counters."""

@@ -102,6 +102,11 @@ def components_under_cut(weight_matrix: np.ndarray, cut: float) -> list[set[int]
     return comps
 
 
+def plane_coefficients(model) -> np.ndarray:
+    """A PlaneModel's (a, b, c, d) as one array."""
+    return np.array([model.a, model.b, model.c, model.d], dtype=float)
+
+
 def plane_from_three(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray):
     n = np.cross(p1 - p0, p2 - p0)
     mag = np.linalg.norm(n)
@@ -251,14 +256,20 @@ def contours(edges: np.ndarray) -> list[tuple]:
     return out
 
 
+def map_pixels(homography, xy: np.ndarray) -> np.ndarray:
+    """(n, 2) pixel coordinates through the homography: one product of the
+    homogeneous rows with h, divided by the third column."""
+    homog = np.column_stack([xy, np.ones(len(xy))]).astype(np.float64)
+    mapped = homog @ homography.h.T
+    return mapped[:, :2] / mapped[:, 2:3]
+
+
 def map_mask_to_cloud(bits: np.ndarray, homography, cloud) -> np.ndarray:
     """Valid cloud points under a mask bitmap, one per distinct depth cell in
     ascending cell order: all set bits mapped at once, rounded to the nearest
     cell, out-of-grid and invalid cells dropped."""
     ys, xs = np.divmod(np.flatnonzero(bits), bits.shape[1])
-    homog = np.column_stack([xs, ys, np.ones(len(xs))]).astype(np.float64)
-    mapped = homog @ homography.h.T
-    mapped = mapped[:, :2] / mapped[:, 2:3]
+    mapped = map_pixels(homography, np.column_stack([xs, ys]))
     u = np.rint(mapped[:, 0]).astype(np.int64)
     v = np.rint(mapped[:, 1]).astype(np.int64)
     inside = (u >= 0) & (u < cloud.width) & (v >= 0) & (v < cloud.height)
@@ -506,10 +517,9 @@ def padded_mls_resample(points: np.ndarray, radius: float, order: int = 2) -> np
     return out
 
 
-def padded_normals(points: np.ndarray, radius: float,
-                   viewpoint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Radius-PCA normals from centred padded neighborhood blocks, oriented
-    toward the viewpoint; returns (normals, defined)."""
+def padded_normals(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Radius-PCA normals, of either sign, from centred padded neighborhood
+    blocks; returns (normals, defined)."""
     n = len(points)
     normals = np.zeros((n, 3))
     candidates, nbr_idx, present = radius_neighborhoods(points, radius, 3)
@@ -525,11 +535,7 @@ def padded_normals(points: np.ndarray, radius: float,
     evals, evecs = np.linalg.eigh(cov)
     ok = (evals[:, 2] > 0) & (evals[:, 1] > 1e-9 * evals[:, 2])
 
-    nrm = evecs[..., 0]
-    flip = np.einsum("mi,mi->m", nrm, viewpoint[None, :] - points[candidates]) < 0
-    nrm[flip] = -nrm[flip]
-
-    normals[candidates[ok]] = nrm[ok]
+    normals[candidates[ok]] = evecs[ok, :, 0]
     defined[candidates[ok]] = True
     return normals, defined
 

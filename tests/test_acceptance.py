@@ -39,6 +39,7 @@ from .oracles import (
     brute_core_distances,
     kruskal_mst_weights,
     mutual_reachability_matrix,
+    plane_coefficients,
 )
 from .test_segmentation import ring_bitmap
 from .test_synth import make_box
@@ -334,8 +335,8 @@ def test_criterion_8_property_suites():
         if np.linalg.norm(raw[:3]) < 1e-9:
             continue
         once = normalize_plane(raw)
-        twice = normalize_plane(once.coefficients())
-        assert np.abs(once.coefficients() - twice.coefficients()).max() < 1e-12
+        twice = normalize_plane(plane_coefficients(once))
+        assert np.abs(plane_coefficients(once) - plane_coefficients(twice)).max() < 1e-12
 
     # frame orthonormality
     for _ in range(1000):

@@ -27,12 +27,11 @@ from binpick.fileio import (
     write_mask_pgm,
     write_pgm,
 )
-from binpick.fusion import Homography
+from binpick.fusion import HOMOGRAPHY_JSON_KEY, Homography
 from binpick.pipeline import (
     TIMING_KEYS,
     PipelineConfig,
     config_from_dict,
-    config_to_dict,
     localize_masks,
     run_pipeline,
     segment_image,
@@ -60,6 +59,19 @@ def synth_inputs(scene):
         cloud = add_depth_noise(cloud, scene.noise_sigma_m, scene.seed)
     config = PipelineConfig(homography=scene_homography(scene))
     return img, cloud, config
+
+
+def config_to_dict(config: PipelineConfig) -> dict:
+    """The JSON document that config_from_dict reads back to config."""
+    out = {}
+    for f in fields(PipelineConfig):
+        if f.name == "homography":
+            continue
+        value = getattr(config, f.name)
+        out[f.name] = list(value) if isinstance(value, tuple) else value
+    if config.homography is not None:
+        out[HOMOGRAPHY_JSON_KEY] = config.homography.to_flat_list()
+    return out
 
 
 class TestConfig:
@@ -635,6 +647,21 @@ def workdir(tmp_path_factory):
     return root
 
 
+def netpbm_samples(data: bytes) -> tuple[bytes, bytes, int, np.ndarray]:
+    """(magic, size line, maxval, samples) of a file that write_pgm wrote."""
+    magic, size, maxval, body = data.split(b"\n", 3)
+    return magic, size, int(maxval), np.frombuffer(body, dtype=np.uint8)
+
+
+def cli_report(workdir, out, *args):
+    """Poses and counts of one CLI run on the one-box scene, which finds its box."""
+    done = run_cli(*args, "--config", str(workdir / "config.json"), "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    report = json.loads(out.read_text())
+    assert len(report["poses"]) == 1
+    return report["poses"], report["counts"]
+
+
 class TestCli:
 
     def test_pipeline_and_verify(self, workdir):
@@ -763,20 +790,19 @@ class TestCli:
             assert "maxval" in out.stderr
 
     def test_maxval_1_mask_localizes_the_box(self, workdir, tmp_path):
+        # the same mask at maxval 1 and 255 gives the same report
         out = run_cli("segment", str(workdir / "data" / "image.pgm"),
                       "--config", str(workdir / "config.json"),
                       "--phase", "parent", "--out", str(tmp_path / "masks"))
         assert out.returncode == 0, out.stderr
         (mask,) = (tmp_path / "masks").glob("mask_*.pgm")
-        bits = read_mask_pgm(mask, "parent").bits
+        magic, size, maxval, samples = netpbm_samples(mask.read_bytes())
+        assert maxval == 255 and set(np.unique(samples)) == {0, 255}
         path = tmp_path / "mask_parent.pgm"
-        path.write_bytes(f"P5\n{bits.shape[1]} {bits.shape[0]}\n1\n".encode()
-                         + bits.astype(np.uint8).tobytes())
-        out = run_cli("localize", str(workdir / "data" / "cloud.ply"), str(path),
-                      "--config", str(workdir / "config.json"),
-                      "--out", str(tmp_path / "loc.json"))
-        assert out.returncode == 0, out.stderr
-        assert len(json.loads((tmp_path / "loc.json").read_text())["poses"]) == 1
+        path.write_bytes(magic + b"\n" + size + b"\n1\n" + (samples // 255).tobytes())
+        cloud = str(workdir / "data" / "cloud.ply")
+        assert (cli_report(workdir, tmp_path / "255.json", "localize", cloud, str(mask))
+                == cli_report(workdir, tmp_path / "1.json", "localize", cloud, str(path)))
 
     def test_image_under_3x3_is_input_error(self, workdir):
         (workdir / "tiny.pgm").write_bytes(b"P5\n2 2\n255\nabcd")
@@ -941,3 +967,32 @@ class TestCli:
         assert out.returncode == 0, out.stderr
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["poses"] == []
+
+
+
+class TestEncodings:
+    """Every encoding of one input gives the same report: the one-box CLI
+    scene's poses and counts do not depend on how a file spells its values.
+    TestCli.test_maxval_1_mask_localizes_the_box covers a mask's maxval."""
+
+    def test_gray_p6_as_p5(self, workdir, tmp_path):
+        p5 = workdir / "data" / "image.pgm"
+        magic, size, maxval, pixels = netpbm_samples(p5.read_bytes())
+        assert (magic, maxval) == (b"P5", 255)
+        p6 = tmp_path / "image.ppm"
+        p6.write_bytes(b"P6\n" + size + b"\n255\n" + np.repeat(pixels, 3).tobytes())
+        cloud = str(workdir / "data" / "cloud.ply")
+        assert (cli_report(workdir, tmp_path / "p5.json", "pipeline", str(p5), cloud)
+                == cli_report(workdir, tmp_path / "p6.json", "pipeline", str(p6), cloud))
+
+    def test_ply_valid_as_float(self, workdir, tmp_path):
+        ints = workdir / "data" / "cloud.ply"
+        header, body = ints.read_text().split("end_header\n")
+        rows = [row.rsplit(" ", 1) for row in body.splitlines()]
+        assert {valid for _, valid in rows} == {"0", "1"}
+        floats = tmp_path / "cloud.ply"
+        floats.write_text(header + "end_header\n"
+                          + "".join(f"{xyz} {valid}.0\n" for xyz, valid in rows))
+        image = str(workdir / "data" / "image.pgm")
+        assert (cli_report(workdir, tmp_path / "int.json", "pipeline", image, str(ints))
+                == cli_report(workdir, tmp_path / "float.json", "pipeline", image, str(floats)))

@@ -86,7 +86,7 @@ class TestRenderDepth:
         truth = ground_truth(scene)[0]
         n = truth.normal
         d = -float(n @ (truth.centroid_mm / 1000.0))
-        pts = cloud.valid_points()
+        pts = cloud.points[cloud.valid]
         dists = pts @ n + d
         on_plane = np.abs(dists) < 1e-9
         assert on_plane.sum() > 200  # the visible top face
@@ -387,7 +387,7 @@ class TestGroundTruth:
         h_true = scene_homography(scene)
         rng = np.random.default_rng(5)
         src = rng.uniform(0, 448, size=(8, 2))
-        dst = h_true.map_points(src)
+        dst = oracles.map_pixels(h_true, src)
         est = estimate_homography(src, dst)
         assert np.abs(est.h - h_true.h).max() / np.abs(h_true.h).max() < 1e-6
 
